@@ -74,14 +74,15 @@ void StepDriver::run(bool traced) {
     }
     return;
   }
-  // One clock read per event: each step is charged the time since the
-  // previous one ended, so the classes sum to the loop's wall time.
-  Clock::time_point prev = Clock::now();
+  // Only the step() call is timed: the counter reads, the observers and
+  // the clock reads themselves stay uncharged, so the charged classes
+  // cover the loop's wall time only as far as the events really fill it.
+  Counters before = read();
   for (;;) {
-    const Counters before = read();
-    if (!sim.step()) break;
-    observe_monitor();
-    observe_window();
+    const Clock::time_point t0 = Clock::now();
+    const bool more = sim.step();
+    const f64 spent = seconds_since(t0);
+    if (!more) break;
     const Counters after = read();
     Charge cls = kChargeData;
     if (after.place != before.place) {
@@ -93,9 +94,10 @@ void StepDriver::run(bool traced) {
     } else if (after.manager != before.manager) {
       cls = kChargeManager;
     }
-    const Clock::time_point now = Clock::now();
-    charged_[cls] += std::chrono::duration<f64>(now - prev).count();
-    prev = now;
+    charged_[cls] += spent;
+    before = after;
+    observe_monitor();
+    observe_window();
   }
 }
 

@@ -68,9 +68,9 @@ enum Charge : int {
 /// taken at the monitor's own sample instants (the benchmark schedules no
 /// events of its own).  A fabric without a monitor gets the same reading
 /// from windows of `window_ps` closed by the first event past each window,
-/// diffing Link::busy_cum_ps as the monitor does.  When traced, each
-/// step's host time goes to the first class whose O(1) public counter
-/// advanced during it.
+/// diffing Link::busy_cum_ps as the monitor does.  When traced, the host
+/// time of each step() call goes to the first class whose O(1) public
+/// counter advanced during it; time between the calls is not charged.
 class StepDriver {
  public:
   StepDriver(net::Network& net, const service::AllreduceService* svc,

@@ -1,7 +1,7 @@
 // perfbench — the repo benchmark's measuring process.  Runs ONE workload,
 // single-threaded, for a fixed host-time budget:
 //
-//   perfbench --workload <name> [--seed N] [--seconds S] [--trace 0|1]
+//   perfbench --workload <name> --seed N [--seconds S] [--trace 0|1]
 //
 // One warm-up rep (set-up + run; its host times are dropped) fills the
 // payload pool and the caches, then reps repeat until the budget is spent.
@@ -32,30 +32,25 @@ using namespace perfbench;
 
 namespace {
 
-/// Default workload seed, and the second seed kept back for held-out
-/// checks of a claimed gain (never used while tuning a change).
-constexpr u64 kDefaultSeed = 1;
-constexpr u64 kHeldOutSeed = 9001;
-
 constexpr std::size_t kMinReps = 3;
 constexpr u32 kSetupPasses = 5;
 /// The traced run's charged classes must cover its wall time within this
-/// share (the per-layer ledger criterion).
+/// share (the per-layer ledger criterion).  Only the step() calls are
+/// charged, so tracing and observer work between them count against it.
 constexpr f64 kChargedTolerance = 0.10;
 
 struct Args {
   std::string workload;
-  u64 seed = kDefaultSeed;
+  bool has_seed = false;
+  u64 seed = 0;
   f64 seconds = 10.0;
   bool trace = false;
 };
 
 void usage() {
   std::fprintf(stderr,
-               "usage: perfbench --workload <name> [--seed N (default %llu; "
-               "held-out %llu)] [--seconds S] [--trace 0|1]\nworkloads:",
-               static_cast<unsigned long long>(kDefaultSeed),
-               static_cast<unsigned long long>(kHeldOutSeed));
+               "usage: perfbench --workload <name> --seed N [--seconds S] "
+               "[--trace 0|1]\nworkloads:");
   for (const Workload& w : workloads()) {
     std::fprintf(stderr, " %.*s", static_cast<int>(w.name.size()),
                  w.name.data());
@@ -74,6 +69,7 @@ bool parse(int argc, char** argv, Args& a) {
     }
     if (std::strcmp(k, "--seed") == 0) {
       a.seed = std::strtoull(v, &end, 10);
+      a.has_seed = true;
     } else if (std::strcmp(k, "--seconds") == 0) {
       a.seconds = std::strtod(v, &end);
     } else if (std::strcmp(k, "--trace") == 0) {
@@ -85,7 +81,8 @@ bool parse(int argc, char** argv, Args& a) {
     }
     if (end == v || *end != '\0') return false;
   }
-  return argc % 2 == 1 && !a.workload.empty() && a.seconds > 0.0;
+  return argc % 2 == 1 && !a.workload.empty() && a.has_seed &&
+         a.seconds > 0.0;
 }
 
 f64 median(std::vector<f64> v) {

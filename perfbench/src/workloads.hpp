@@ -1,7 +1,7 @@
 // The benchmark's four workloads.  Each call sets up one workload from its
 // seed, runs it to completion and checks its outputs; the caller repeats
 // calls to fill the measuring time.  Why each workload exists is recorded
-// in perfbench/LAYERS.md and BENCHMARK.json.
+// in perfbench/layers.json and BENCHMARK.json.
 #pragma once
 
 #include <string_view>
