@@ -4,18 +4,25 @@
 // A Flow is a src->dst host transfer of `bytes` that occupies a
 // deterministic bandwidth share on every link of its path instead of
 // emitting one calendar event per packet.  Shares come from max-min
-// fair-share water-filling, recomputed ONLY at flow start / finish /
-// reroute instants; between recompute instants every rate is constant, so
-// the whole fluid system is advanced in closed form (advance_to) and the
-// calendar carries exactly one pending event — the earliest finish —
-// guarded by an epoch counter so stale finish events are no-ops.
+// fair-share water-filling, re-solved ONLY at flow start / finish /
+// reroute instants and ONLY over the changed flows' component: the flows
+// transitively sharing a link with them (max-min fairness splits exactly
+// into such components, so the rest of the fabric keeps its rates).
+// Each flow carries (settled_at, rate, remaining_bits) and accrues
+// lazily: it is walked only when its rate or path changes, when it
+// finishes, and on sync().  Finish instants live in an ordered (time, id)
+// index; the calendar gets a new timer only when the earliest finish
+// moves before every pending one (a timer that fires with nothing due
+// re-arms for the current earliest).
 //
 // The congestion a flow builds is REAL for the packet plane:
 //
 //   * busy_cum_ps and the per-trace attribution bucket accrue the exact
 //     serialization time the flow's bits would have cost
 //     (Link::add_flow_busy adds the identical amount to both, so the
-//     FLARE_VALIDATE conservation audit holds by construction), which
+//     FLARE_VALIDATE conservation audit holds by construction; a finishing
+//     flow books its rounded residual, leaving exactly `bytes` and its
+//     converged busy time on every path link), which
 //     means CongestionMonitor EWMAs — fed by diffing busy_cum_ps — see
 //     flow load exactly like packet load (Network::sync_flows() settles
 //     accrual before every sample);
@@ -28,14 +35,16 @@
 // (Switch::route_ports + ecmp_index on the salted flow label, with the
 // identical live-subset re-hash on dark ports), so a given seeded workload
 // heats the same links whether it runs in packet or flow mode — the parity
-// property
-// bench_scale_10k gates on.  Fault notices trigger re-pathing; a flow with
-// no usable path stalls at rate zero (it does not hold the calendar open)
-// and is re-pathed on the next fault notice.
+// property bench_scale_10k gates on.  Fault notices trigger re-pathing; a
+// flow with no usable path stalls at rate zero (it does not hold the
+// calendar open) and is re-pathed on the next fault notice.
 #pragma once
 
 #include <functional>
-#include <unordered_map>
+#include <limits>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -73,10 +82,20 @@ class FlowManager {
   /// the Network owns it).
   void start_flow_at(SimTime at, FlowSpec spec);
 
-  /// Settles fluid accrual up to the current simulated time.  Called by
-  /// CongestionMonitor::sample() and the metrics bridge before reading
-  /// link counters; idempotent at a fixed time.
+  /// Settles every flow's fluid accrual up to the current simulated time.
+  /// Called by CongestionMonitor::sample() and the metrics bridge before
+  /// reading link counters; idempotent at a fixed time.
   void sync();
+
+  /// One active flow as seen from outside (tests, diagnostics).
+  struct FlowView {
+    u64 id = 0;
+    f64 rate_bps = 0;       ///< current fair share (0 while stalled)
+    f64 rate_cap_bps = 0;
+    std::vector<u32> path;  ///< unidirectional link indices; empty = stalled
+  };
+  /// Every active flow, ascending id.
+  std::vector<FlowView> active_flows() const;
 
   u64 flows_started() const { return flows_started_; }
   u64 flows_finished() const { return flows_finished_; }
@@ -86,49 +105,71 @@ class FlowManager {
   u64 flows_stalled() const;
   /// Path changes applied by fault notices (including stalls/revivals).
   u64 reroutes() const { return reroutes_; }
-  /// Fair-share recomputation instants so far (the event-count currency
-  /// the flow model saves: compare against packets for the same bytes).
+  /// Fair-share re-solve instants so far (start, finish and reroute
+  /// instants; each re-solves one component).
   u64 recomputes() const { return recomputes_; }
 
+#if FLARE_VALIDATE_ENABLED
+  /// Validator-test backdoor: halves the first flow's rate in the next
+  /// re-solve's result, so tests/validate_test.cpp can prove the max-min
+  /// certificate fires.
+  void debug_skew_next_solve() { skew_next_solve_ = true; }
+#endif
+
  private:
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
   struct ActiveFlow {
     u64 id = 0;
     FlowSpec spec;
-    f64 remaining_bits = 0;
+    SimTime settled_at = 0;      ///< accrual booked through this instant
     f64 rate_bps = 0;            ///< current fair share (0 while stalled)
+    f64 remaining_bits = 0;      ///< as of settled_at
+    SimTime finish_at = kNever;  ///< key in finish_index_ (kNever: none)
+    u64 mark = 0;                ///< component-walk stamp
     f64 byte_carry = 0;          ///< fractional bytes not yet booked
     std::vector<u32> path;       ///< unidirectional link indices; empty = stalled
     std::vector<f64> busy_carry; ///< fractional busy ps per path link
   };
+  struct LinkFlows {
+    std::vector<ActiveFlow*> flows;  ///< resident flows, ascending id
+    u64 mark = 0;                    ///< component-walk stamp
+    u32 slot = 0;                    ///< dense index within the component
+  };
 
-  void advance_to(SimTime now);
-  void recompute();
-  void arm_next();
+  void settle(ActiveFlow& f, SimTime now);
+  void book(ActiveFlow& f, f64 bits, bool flush);
+  void set_rate(ActiveFlow& f, f64 rate_bps, SimTime now);
+  void attach(ActiveFlow& f);
+  void detach(ActiveFlow& f);
+  void touch_flow(ActiveFlow& f);
+  void touch_link(u32 li);
+  void resolve();
+  void certify() const;
+  void rearm();
   void on_timer();
   void on_fault();
   std::vector<u32> compute_path(const FlowSpec& spec) const;
-  u32 link_index(const Link* link) const;
 
   Network& net_;
-  std::vector<ActiveFlow> flows_;  ///< ascending id (insertion order)
+  std::map<u64, ActiveFlow> flows_;  ///< by id (node-stable: links point in)
+  std::vector<LinkFlows> links_;     ///< by unidirectional link index
+  std::set<std::pair<SimTime, u64>> finish_index_;  ///< (finish, id)
+  /// The component being re-solved (touched flows and links, stamped
+  /// with mark_); empty between re-solves.
+  std::vector<ActiveFlow*> comp_flows_;
+  std::vector<u32> comp_links_;
+  u64 mark_ = 1;
   u64 next_flow_id_ = 1;
-  u64 epoch_ = 0;                  ///< cancels stale finish events
-  SimTime last_advance_ = 0;
+  std::set<SimTime> timers_;  ///< instants of pending finish timers
   u64 flows_started_ = 0;
   u64 flows_finished_ = 0;
   u64 reroutes_ = 0;
   u64 recomputes_ = 0;
   u64 fault_listener_token_ = 0;
-  /// Link pointer -> unidirectional index (links are stable; rebuilt when
-  /// the network grows).  Lookup only — never iterated.
-  mutable std::unordered_map<const Link*, u32> link_index_;
-  /// Links that carried a nonzero aggregate flow rate after the last
-  /// recompute (their Link::flow_rate_bps must be reset when they empty).
-  std::vector<u32> loaded_links_;
-  /// recompute() scratch: link index -> dense slot for the current
-  /// water-filling round.  Member so its capacity persists across the
-  /// tens of thousands of recomputes a big run performs.
-  std::vector<u32> slot_of_link_;
+#if FLARE_VALIDATE_ENABLED
+  bool skew_next_solve_ = false;
+#endif
 };
 
 }  // namespace flare::net

@@ -46,6 +46,9 @@ class Link {
   /// Network::connect); a duplex fault takes both down.
   Link* reverse() const { return reverse_; }
   void set_reverse(Link* r) { reverse_ = r; }
+  /// Unidirectional index in Network::link() (set by Network::connect).
+  u32 index() const { return index_; }
+  void set_index(u32 i) { index_ = i; }
   /// Arms the link to silently drop the next `n` packets offered.
   void drop_next(u32 n) { drop_next_ += n; }
   /// Arms the link to corrupt the next `n` packets (delivered with the
@@ -75,10 +78,10 @@ class Link {
     traffic_.bytes += bytes;  // flow bytes carry no per-packet count
   }
   /// Aggregate fair-share rate of the flows currently resident on this
-  /// link (set by net::FlowManager at every recompute instant).  While
-  /// nonzero, packets serialize at the REMAINING bandwidth — flows and
-  /// packets genuinely contend, so packet-level collectives feel the
-  /// background load the flows model.
+  /// link (set by net::FlowManager whenever it re-solves the link's flow
+  /// component).  While nonzero, packets serialize at the REMAINING
+  /// bandwidth — flows and packets genuinely contend, so packet-level
+  /// collectives feel the background load the flows model.
   void set_flow_rate_bps(f64 r) { flow_rate_bps_ = r; }
   f64 flow_rate_bps() const { return flow_rate_bps_; }
   const std::string& name() const { return name_; }
@@ -172,6 +175,7 @@ class Link {
   std::string name_;
   Deliver deliver_;
   Link* reverse_ = nullptr;
+  u32 index_ = 0;
   bool up_ = true;
   u32 drop_next_ = 0;
   u32 corrupt_next_ = 0;

@@ -74,6 +74,8 @@ void Network::connect(Node& a, Node& b, f64 bandwidth_bps, u64 latency_ps) {
   adjacency_[b.id()].push_back({a.id(), b_port});
   ab->set_reverse(ba.get());
   ba->set_reverse(ab.get());
+  ab->set_index(static_cast<u32>(links_.size()));
+  ba->set_index(static_cast<u32>(links_.size() + 1));
   links_.push_back(std::move(ab));
   links_.push_back(std::move(ba));
 }

@@ -180,8 +180,10 @@ class Network {
   std::vector<Host*> hosts_;
   std::vector<Switch*> switches_;
   std::vector<u32> host_index_by_node_;  ///< UINT32_MAX for switches
-  std::unique_ptr<FlowManager> flows_;
   std::vector<std::pair<u64, FaultListener>> fault_listeners_;
+  /// Declared after fault_listeners_ so it is destroyed first: its
+  /// destructor unregisters its fault listener.
+  std::unique_ptr<FlowManager> flows_;
   u64 next_listener_token_ = 1;
   u64 faults_notified_ = 0;
   u64 corrupt_dropped_ = 0;

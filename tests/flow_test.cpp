@@ -3,8 +3,12 @@
 // fault plane (stall + reroute).  net/flow.hpp documents the contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/packet.hpp"
 #include "net/flow.hpp"
 #include "net/network.hpp"
@@ -122,6 +126,53 @@ TEST(FlowTest, AttributionConservesExactly) {
     u64 sum = 0;
     for (const auto& [trace, ps] : net.link(i).busy_by_trace()) sum += ps;
     EXPECT_EQ(sum, net.link(i).busy_cum_ps()) << net.link(i).name();
+  }
+}
+
+/// A finished flow books exactly its bytes on every path link, and the
+/// busy time its carries converge to (80 ps per byte at 100 Gbps), however
+/// staggered interferers chop its lifetime into settle intervals.
+TEST(FlowTest, FinishedFlowBooksExactBytesAndBusy) {
+  for (u64 trial = 0; trial < 200; ++trial) {
+    Network net;
+    auto topo = build_single_switch(net, 4);
+    FlowManager& fm = net.flows();
+    Rng rng(trial);
+    std::vector<u64> expect_bytes(net.num_links(), 0);
+    std::vector<FlowSpec> specs;
+    auto add = [&](u32 src, u32 dst, u64 bytes, SimTime at) {
+      FlowSpec s;
+      s.src_host = src;
+      s.dst_host = dst;
+      s.bytes = bytes;
+      s.flow_label = specs.size();
+      s.trace = static_cast<u32>(specs.size()) + 1;
+      expect_bytes[topo.hosts[src]->port(0).index()] += bytes;
+      expect_bytes[topo.hosts[dst]->port(0).reverse()->index()] += bytes;
+      specs.push_back(s);
+      fm.start_flow_at(at, std::move(s));
+    };
+    add(0, 3, 100000, 0);
+    for (u32 k = 0; k < 6; ++k) {
+      const u32 src = static_cast<u32>(rng.uniform_u64(3));
+      add(src, src == 0 ? 1 + static_cast<u32>(rng.uniform_u64(2)) : 3,
+          1 + rng.uniform_u64(60000), rng.uniform_u64(8'000'000));
+    }
+    net.sim().run();
+    net.sync_flows();
+    ASSERT_EQ(fm.flows_finished(), specs.size());
+    for (u32 i = 0; i < net.num_links(); ++i) {
+      EXPECT_EQ(net.link(i).traffic().bytes, expect_bytes[i])
+          << "trial " << trial << " link " << net.link(i).name();
+    }
+    for (const FlowSpec& s : specs) {
+      const Link& nic = topo.hosts[s.src_host]->port(0);
+      const Link& access = *topo.hosts[s.dst_host]->port(0).reverse();
+      EXPECT_EQ(nic.busy_ps_for_trace(s.trace), s.bytes * 80)
+          << "trial " << trial << " trace " << s.trace;
+      EXPECT_EQ(access.busy_ps_for_trace(s.trace), s.bytes * 80)
+          << "trial " << trial << " trace " << s.trace;
+    }
   }
 }
 
@@ -269,6 +320,148 @@ TEST(FlowTest, IncastSkipsDeadSendersAtPlanTime) {
     // Nothing was scheduled for the dead sender.
     EXPECT_EQ(net.sim().total_events_run(), faults_before) << flow_mode;
   }
+}
+
+// ------------------------------------------------------ solver oracle ----
+
+/// The global max-min solver: water-filling over EVERY active flow at
+/// once, links by ascending index, flows by ascending id.  Each round
+/// freezes every cap-limited flow whose cap is below the global fair
+/// share, or else every flow crossing a bottleneck link.  FlowManager
+/// re-solves only the changed component; this is the oracle it must
+/// match.  Returns one rate per view (0 for stalled flows).
+std::vector<f64> oracle_rates(const Network& net,
+                              const std::vector<FlowManager::FlowView>& fv) {
+  std::vector<f64> rate(fv.size(), -1.0);  // -1 = undecided
+  std::vector<u32> links;
+  for (std::size_t k = 0; k < fv.size(); ++k) {
+    if (fv[k].path.empty()) rate[k] = 0.0;
+    links.insert(links.end(), fv[k].path.begin(), fv[k].path.end());
+  }
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+  std::vector<u32> pos(net.num_links(), 0);
+  std::vector<f64> remaining(links.size());
+  std::vector<u32> count(links.size(), 0);
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    pos[links[i]] = static_cast<u32>(i);
+    remaining[i] = net.link(links[i]).bandwidth_bps();
+  }
+  std::size_t unfrozen = 0;
+  for (const auto& f : fv) {
+    for (const u32 li : f.path) count[pos[li]] += 1;
+    if (!f.path.empty()) unfrozen += 1;
+  }
+  auto freeze = [&](std::size_t k, f64 r) {
+    rate[k] = r;
+    for (const u32 li : fv[k].path) {
+      remaining[pos[li]] -= r;
+      count[pos[li]] -= 1;
+    }
+    unfrozen -= 1;
+  };
+  auto share = [&](std::size_t i) {
+    return std::max(remaining[i], 0.0) / static_cast<f64>(count[i]);
+  };
+  while (unfrozen > 0) {
+    f64 fair = std::numeric_limits<f64>::max();
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      if (count[i] > 0) fair = std::min(fair, share(i));
+    }
+    bool froze_cap = false;
+    for (std::size_t k = 0; k < fv.size(); ++k) {
+      if (rate[k] < 0.0 && fv[k].rate_cap_bps > 0.0 &&
+          fv[k].rate_cap_bps <= fair) {
+        freeze(k, fv[k].rate_cap_bps);
+        froze_cap = true;
+      }
+    }
+    if (froze_cap) continue;
+    bool froze = false;
+    for (std::size_t k = 0; k < fv.size(); ++k) {
+      if (rate[k] >= 0.0) continue;
+      const bool bottlenecked =
+          std::any_of(fv[k].path.begin(), fv[k].path.end(), [&](u32 li) {
+            return count[pos[li]] > 0 && share(pos[li]) <= fair * (1 + 1e-9);
+          });
+      if (!bottlenecked) continue;
+      freeze(k, fair);
+      froze = true;
+    }
+    if (!froze) {
+      ADD_FAILURE() << "oracle water-filling failed to converge";
+      break;
+    }
+  }
+  return rate;
+}
+
+/// Seeded property test of the incremental solver: random starts (some
+/// capped), natural finishes, and duplex link down/up on 2- and 3-level
+/// fat trees.  After EVERY calendar event each flow's rate matches the
+/// global oracle to 1e-12 relative (component solves freeze capped flows
+/// in a different order, so the last ulp may differ), and each link's
+/// aggregate flow rate is the sum of its resident flows' rates.
+TEST(FlowTest, IncrementalSolveMatchesGlobalOracle) {
+  u64 checks = 0;
+  for (u64 seed = 1; seed <= 8; ++seed) {
+    const bool three_level = seed % 2 == 0;
+    Network net;
+    std::vector<Host*> hosts;
+    if (three_level) {
+      FatTree3Spec ts;
+      ts.radix = 4;
+      ts.pods = 4;  // 16 hosts, 20 switches
+      hosts = build_fat_tree_3level(net, ts).hosts;
+    } else {
+      FatTreeSpec ts;
+      ts.hosts = 16;
+      ts.radix = 4;
+      hosts = build_fat_tree(net, ts).hosts;
+    }
+    FlowManager& fm = net.flows();
+    Rng rng(seed);
+    const u32 nh = static_cast<u32>(hosts.size());
+    for (u32 k = 0; k < 120; ++k) {
+      FlowSpec s;
+      s.src_host = static_cast<u32>(rng.uniform_u64(nh));
+      s.dst_host =
+          static_cast<u32>((s.src_host + 1 + rng.uniform_u64(nh - 1)) % nh);
+      s.bytes = 1 + rng.uniform_u64(400000);
+      s.flow_label = rng();
+      if (rng.uniform_u64(3) == 0) s.rate_cap_bps = rng.uniform(5e9, 80e9);
+      fm.start_flow_at(rng.uniform_u64(60'000'000), std::move(s));
+    }
+    for (u32 k = 0; k < 6; ++k) {
+      const u32 duplex =
+          static_cast<u32>(rng.uniform_u64(net.num_duplex_links()));
+      const SimTime down = rng.uniform_u64(60'000'000);
+      const SimTime up = down + rng.uniform_u64(20'000'000);
+      net.sim().schedule_at(
+          down, [&net, duplex] { net.set_duplex_up(duplex, false); });
+      net.sim().schedule_at(
+          up, [&net, duplex] { net.set_duplex_up(duplex, true); });
+    }
+    while (net.sim().step()) {
+      const std::vector<FlowManager::FlowView> fv = fm.active_flows();
+      const std::vector<f64> want = oracle_rates(net, fv);
+      std::vector<f64> load(net.num_links(), 0.0);
+      for (std::size_t k = 0; k < fv.size(); ++k) {
+        const f64 tol = 1e-12 * std::max(std::abs(want[k]), fv[k].rate_bps);
+        ASSERT_LE(std::abs(fv[k].rate_bps - want[k]), tol)
+            << "seed " << seed << " flow " << fv[k].id << " at "
+            << net.sim().now();
+        for (const u32 li : fv[k].path) load[li] += fv[k].rate_bps;
+        checks += 1;
+      }
+      for (u32 i = 0; i < net.num_links(); ++i) {
+        ASSERT_EQ(net.link(i).flow_rate_bps(), load[i])
+            << "seed " << seed << " link " << net.link(i).name();
+      }
+    }
+    EXPECT_EQ(fm.flows_finished(), 120u) << "seed " << seed;
+  }
+  EXPECT_GT(checks, 10000u);
 }
 
 // ---------------------------------------------------------- topology ----

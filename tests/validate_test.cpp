@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "coll/communicator.hpp"
+#include "net/flow.hpp"
 #include "net/network.hpp"
 #include "net/telemetry.hpp"
 #include "obs/bridge.hpp"
@@ -195,6 +196,30 @@ TEST(Validate, PlanApplyAuditCatchesHalfAppliedMove) {
   EXPECT_EQ(res.max_abs_err, 0.0);
   pc.release();
   for (Switch* s : net.switches()) EXPECT_EQ(s->installed_reduces(), 0u);
+}
+
+/// The flow plane's max-min certificate: after a re-solve every flow sits
+/// at its cap or crosses a saturated link with no faster flow.  The
+/// backdoor halves one share of an otherwise correct solve; the
+/// certificate must flag it, and the clean solve before must not.
+TEST(Validate, FlowMaxMinCertificateCatchesSkewedSolve) {
+  CaptureViolations cap;
+  Network net;
+  build_single_switch(net, 4);
+  FlowManager& fm = net.flows();
+  FlowSpec a;
+  a.src_host = 0;
+  a.dst_host = 2;
+  a.bytes = 125000;
+  FlowSpec b = a;
+  b.src_host = 1;
+  fm.start_flow(std::move(a));
+  EXPECT_TRUE(cap.got().empty());
+  fm.debug_skew_next_solve();
+  fm.start_flow(std::move(b));
+  EXPECT_TRUE(cap.saw("flow-maxmin"));
+  net.sim().run();
+  EXPECT_EQ(fm.flows_finished(), 2u);
 }
 
 TEST(Validate, PacketLifecycleRejectsPayloadlessReduce) {
