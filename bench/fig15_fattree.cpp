@@ -12,6 +12,9 @@
 // Default: 4 MiB per host so the run completes in seconds; --full uses the
 // paper's 100 MiB (the schemes scale near-linearly in Z, so the RATIOS —
 // who wins and by how much — are preserved; see EXPERIMENTS.md).
+//
+// Exits nonzero when any scheme's result check FAILED, so CI can gate on
+// the one bench that runs the ring and SparCML side by side.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -71,6 +74,7 @@ int main(int argc, char** argv) {
   };
 
   bench::JsonReport report("fig15_fattree");
+  bool all_ok = true;
   auto run_scheme = [&](const char* name, coll::Algorithm algorithm,
                         bool sparse) {
     net::Network net;
@@ -88,8 +92,9 @@ int main(int argc, char** argv) {
     return res;
   };
 
-  const auto record = [&report](const char* key,
-                                const coll::CollectiveResult& res) {
+  const auto record = [&report, &all_ok](const char* key,
+                                         const coll::CollectiveResult& res) {
+    all_ok = all_ok && res.ok;
     report.add(std::string(key) + "_seconds", res.completion_seconds)
         .add(std::string(key) + "_traffic_bytes", res.total_traffic_bytes)
         .add(std::string(key) + "_ok", res.ok);
@@ -113,5 +118,5 @@ int main(int argc, char** argv) {
               "Flare sparse wins on BOTH time and traffic (paper: up to\n"
               "  35%% faster and ~20x less traffic than SparCML).\n");
   report.emit();
-  return 0;
+  return all_ok ? 0 : 1;
 }

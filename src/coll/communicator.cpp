@@ -1,18 +1,15 @@
 #include "coll/communicator.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cstring>
 #include <utility>
 
 #include "coll/flare_sparse.hpp"
+#include "coll/innet.hpp"
+#include "coll/ring.hpp"
 #include "coll/sparcml.hpp"
 #include "coll/tree_cache.hpp"
 #include "core/policy.hpp"
-#include "core/staggered.hpp"
 #include "net/telemetry.hpp"
-#include "obs/trace.hpp"
-#include "workload/generators.hpp"
 
 namespace flare::coll {
 
@@ -36,712 +33,6 @@ std::string_view algorithm_name(Algorithm a) {
   }
   return "?";
 }
-
-namespace detail {
-
-// ======================================================== host ring =======
-// Event-driven ring (Rabenseifner) allreduce over the same network: two
-// phases of P-1 steps (scatter-reduce, then allgather).  Each op draws a
-// fresh wire-protocol id and registers per-proto host handlers, so
-// overlapping ring collectives over shared hosts never mix fragments.
-//
-// Fault tolerance (Tuning::retransmit_timeout_ps > 0): the ring advances
-// strictly step by step per host, so loss detection is receiver-driven — a
-// host stalled on its expected (phase, step) chunk for longer than the
-// timeout NACKs its ring predecessor, which re-sends the recorded chunk
-// snapshot.  Fragment bookkeeping is idempotent (per-seq bitmap), so
-// duplicated re-sends and NACK storms are harmless, and a lost NACK is
-// simply re-issued on the next watchdog tick.
-
-class RingOp final : public OpBase {
- public:
-  /// `trace`: attribution/tracer row id.  Nonzero when this ring is the
-  /// fallback plane of an in-network session (it inherits the session's
-  /// stable trace so the attribution plane sees one continuous tenant);
-  /// 0 lets the ring allocate its own.
-  RingOp(net::Network& net, const std::vector<net::Host*>& participants,
-         const CollectiveOptions& desc, u32 trace = 0)
-      : net_(net), participants_(participants), desc_(desc),
-        proto_(0x40000000u + net.alloc_collective_id()),
-        trace_(trace != 0 ? trace : net.alloc_trace_id()), op_(desc.op) {
-    dtype_ = desc_.dtype;
-    esize_ = core::dtype_size(dtype_);
-    elems_total_ = std::max<u64>(1, desc_.data_bytes / esize_);
-    mtu_ = desc_.mtu_bytes;
-    P_ = static_cast<u32>(participants_.size());
-    timeout_ps_ = desc_.retransmit_timeout_ps;
-  }
-
-  ~RingOp() override {
-    if (handlers_set_) {
-      for (net::Host* host : participants_) host->clear_proto_handler(proto_);
-    }
-  }
-
-  void begin(u64 seed, std::shared_ptr<OpState> state) override {
-    FLARE_ASSERT_MSG(state_ == nullptr,
-                     "previous iteration of this collective still running");
-    state_ = std::move(state);
-    complete_ = false;
-    finished_ = false;
-    hosts_done_ = 0;
-    retransmits_ = 0;
-    start_ps_ = net_.sim().now();
-    base_traffic_ = net_.total_traffic_bytes();
-    if (obs::Tracer* tr = net_.tracer()) {
-      tr->name_thread(trace_, "coll-" + std::to_string(trace_));
-      tr->begin(trace_, "ring-iteration", start_ps_, "iteration");
-    }
-
-    auto host_data =
-        workload::make_dense_data(P_, elems_total_, dtype_, seed);
-    expected_ = core::reference_reduce(host_data, op_);
-
-    runs_.clear();
-    runs_.resize(P_);
-    for (u32 h = 0; h < P_; ++h) {
-      runs_[h].host = participants_[h];
-      runs_[h].vec = std::move(host_data[h]);
-      runs_[h].host->set_proto_handler(
-          proto_, [this](const net::HostMsg& msg) { on_msg(msg); });
-    }
-    handlers_set_ = true;
-    if (P_ == 1) {
-      runs_[0].finish_ps = net_.sim().now();
-      finished_ = true;
-      net_.sim().schedule_after(0, [this] { finalize(); });
-      return;
-    }
-    for (RHost& hr : runs_) hr.last_progress_ps = start_ps_;
-    arm_watchdog();
-    // Kick off: every host sends its own chunk h for scatter-reduce step 0.
-    for (u32 h = 0; h < P_; ++h)
-      send_chunk(h, h, Phase::kScatterReduce, 0);
-  }
-
- private:
-  enum class Phase : u8 { kScatterReduce, kAllGather, kDone };
-
-  /// Reassembly state of one logical chunk: per-fragment bitmap so that
-  /// retransmitted fragments never double-count.
-  struct Partial {
-    std::vector<bool> have;
-    u32 have_count = 0;
-    std::shared_ptr<const core::TypedBuffer> data;
-  };
-  /// What a host sent for one tag — kept until the op finishes so a NACK
-  /// can replay it (the working vector has moved on by then).
-  struct SentChunk {
-    u64 bytes = 0;
-    u32 frags = 0;
-    std::shared_ptr<const core::TypedBuffer> snapshot;
-  };
-  struct RHost {
-    net::Host* host = nullptr;
-    core::TypedBuffer vec;  ///< working vector (input, then result)
-    Phase phase = Phase::kScatterReduce;
-    u32 step = 0;
-    SimTime finish_ps = 0;
-    SimTime last_progress_ps = 0;
-    u32 nacks = 0;  ///< NACKs since last progress (backoff input)
-    std::unordered_map<u32, Partial> inbox;
-    std::unordered_map<u32, SentChunk> sent;
-  };
-
-  u64 chunk_begin(u32 c) const {
-    const u64 base = elems_total_ / P_;
-    const u64 rem = elems_total_ % P_;
-    return static_cast<u64>(c) * base + std::min<u64>(c, rem);
-  }
-  u64 chunk_elems(u32 c) const {
-    return chunk_begin(c + 1) - chunk_begin(c);
-  }
-
-  static u32 make_tag(Phase phase, u32 step) {
-    return (phase == Phase::kAllGather ? 0x10000u : 0u) | step;
-  }
-
-  void send_chunk(u32 h, u32 c, Phase phase, u32 step) {
-    RHost& hr = runs_[h];
-    const u64 elems = chunk_elems(c);
-    const u64 bytes = elems * esize_;
-    SentChunk chunk;
-    chunk.bytes = bytes;
-    chunk.frags =
-        std::max<u32>(1, static_cast<u32>((bytes + mtu_ - 1) / mtu_));
-    auto snapshot = std::make_shared<core::TypedBuffer>(dtype_, elems);
-    std::memcpy(snapshot->data(), hr.vec.at_byte(chunk_begin(c)), bytes);
-    chunk.snapshot = std::move(snapshot);
-    const u32 tag = make_tag(phase, step);
-    transmit(h, tag, chunk);
-    if (timeout_ps_ > 0) hr.sent[tag] = std::move(chunk);  // NACK replay
-  }
-
-  /// Sends every fragment of `chunk` to h's ring successor (first send and
-  /// NACK-triggered replays take the same path).
-  void transmit(u32 h, u32 tag, const SentChunk& chunk) {
-    const u32 dst = (h + 1) % P_;
-    for (u32 f = 0; f < chunk.frags; ++f) {
-      auto msg = std::make_shared<net::HostMsg>();
-      msg->src_host = h;
-      msg->dst_host = dst;  ///< job-local rank of the receiver
-      msg->proto = proto_;
-      msg->tag = tag;
-      msg->seq = f;
-      msg->seq_count = chunk.frags;
-      if (f + 1 == chunk.frags) msg->dense = chunk.snapshot;
-      net::NetPacket np;
-      np.kind = net::PacketKind::kHostMsg;
-      np.dst_node = runs_[dst].host->id();
-      // One flow per (op, ring edge): FIFO along one ECMP path.
-      np.flow = (static_cast<u64>(proto_) << 16) | h;
-      np.trace = trace_;
-      const u64 frag_bytes = std::min<u64>(
-          mtu_, chunk.bytes - static_cast<u64>(f) * mtu_);
-      np.wire_bytes = frag_bytes + core::kPacketWireOverhead;
-      np.msg = std::move(msg);
-      runs_[h].host->send(std::move(np));
-    }
-  }
-
-  void on_msg(const net::HostMsg& msg) {
-    if (finished_) return;
-    const u32 h = msg.dst_host;
-    FLARE_ASSERT(h < P_);
-    if (msg.seq_count == 0) {  // NACK: the successor is missing `tag`
-      handle_nack(h, msg.tag);
-      return;
-    }
-    RHost& hr = runs_[h];
-    Partial& partial = hr.inbox[msg.tag];
-    if (partial.have.empty()) partial.have.assign(msg.seq_count, false);
-    if (partial.have.at(msg.seq)) return;  // retransmitted fragment
-    partial.have[msg.seq] = true;
-    partial.have_count += 1;
-    if (msg.dense) partial.data = msg.dense;
-    if (partial.have_count == static_cast<u32>(partial.have.size())) {
-      advance(h);
-    }
-  }
-
-  void handle_nack(u32 h, u32 tag) {
-    RHost& hr = runs_[h];
-    const auto it = hr.sent.find(tag);
-    // Not sent yet: this host is itself behind; the chunk goes out when it
-    // catches up and the requester's next timeout re-NACKs if needed.
-    if (it == hr.sent.end()) return;
-    retransmits_ += 1;
-    if (obs::Tracer* tr = net_.tracer()) {
-      tr->instant(trace_, "retransmit", net_.sim().now(), "recovery");
-    }
-    transmit(h, tag, it->second);
-  }
-
-  void send_nack(u32 h) {
-    RHost& hr = runs_[h];
-    const u32 pred = (h + P_ - 1) % P_;
-    auto msg = std::make_shared<net::HostMsg>();
-    msg->src_host = h;
-    msg->dst_host = pred;
-    msg->proto = proto_;
-    msg->tag = make_tag(hr.phase, hr.step);
-    msg->seq = 0;
-    msg->seq_count = 0;  // seq_count==0 marks a NACK
-    net::NetPacket np;
-    np.kind = net::PacketKind::kHostMsg;
-    np.dst_node = runs_[pred].host->id();
-    np.flow = (static_cast<u64>(proto_) << 16) | (0x8000ull | h);
-    np.trace = trace_;
-    np.wire_bytes = core::kPacketWireOverhead;
-    np.msg = std::move(msg);
-    hr.host->send(std::move(np));
-  }
-
-  void arm_watchdog() {
-    if (timeout_ps_ == 0 || watchdog_armed_) return;
-    watchdog_armed_ = true;
-    std::weak_ptr<char> w = alive_;
-    net_.sim().schedule_after(timeout_ps_, [this, w] {
-      if (w.expired()) return;
-      watchdog_armed_ = false;
-      on_watchdog();
-    });
-  }
-
-  void on_watchdog() {
-    if (finished_ || state_ == nullptr) return;  // iteration over: go idle
-    const SimTime now = net_.sim().now();
-    for (u32 h = 0; h < P_; ++h) {
-      RHost& hr = runs_[h];
-      if (hr.phase == Phase::kDone) continue;
-      // Exponential backoff per stall (reset on progress): repeated NACKs
-      // each trigger a full chunk replay, so pacing them out keeps a long
-      // outage from piling replays onto the healing links.
-      const u32 shift = std::min<u32>(hr.nacks, 6);
-      if (now - hr.last_progress_ps < (timeout_ps_ << shift)) continue;
-      if (hr.nacks >= kMaxNacks) {
-        // Permanent stall (a fault that never repairs): surface a FAILED
-        // result instead of NACKing the calendar forever.
-        give_up();
-        return;
-      }
-      hr.nacks += 1;
-      send_nack(h);  // stalled: ask the predecessor to replay
-    }
-    arm_watchdog();
-  }
-
-  void advance(u32 h) {
-    RHost& hr = runs_[h];
-    while (hr.phase != Phase::kDone) {
-      const u32 tag = make_tag(hr.phase, hr.step);
-      auto it = hr.inbox.find(tag);
-      if (it == hr.inbox.end() || it->second.have.empty() ||
-          it->second.have_count !=
-              static_cast<u32>(it->second.have.size()) ||
-          it->second.data == nullptr) {
-        return;  // expected message not fully here yet
-      }
-      const Partial& partial = it->second;
-      hr.last_progress_ps = net_.sim().now();
-      hr.nacks = 0;
-      if (hr.phase == Phase::kScatterReduce) {
-        const u32 c = (h + P_ - hr.step - 1) % P_;
-        FLARE_ASSERT(partial.data->size() == chunk_elems(c));
-        op_.apply(dtype_, hr.vec.at_byte(chunk_begin(c)),
-                  partial.data->data(), chunk_elems(c));
-        hr.inbox.erase(it);
-        hr.step += 1;
-        if (hr.step < P_ - 1) {
-          send_chunk(h, (h + P_ - hr.step) % P_, Phase::kScatterReduce,
-                     hr.step);
-        } else {
-          hr.phase = Phase::kAllGather;
-          hr.step = 0;
-          send_chunk(h, (h + 1) % P_, Phase::kAllGather, 0);
-        }
-      } else {
-        const u32 c = (h + P_ - hr.step) % P_;
-        FLARE_ASSERT(partial.data->size() == chunk_elems(c));
-        std::memcpy(hr.vec.at_byte(chunk_begin(c)), partial.data->data(),
-                    chunk_elems(c) * esize_);
-        hr.inbox.erase(it);
-        hr.step += 1;
-        if (hr.step < P_ - 1) {
-          send_chunk(h, c, Phase::kAllGather, hr.step);
-        } else {
-          hr.phase = Phase::kDone;
-          hr.finish_ps = net_.sim().now();
-          hosts_done_ += 1;
-          if (hosts_done_ == P_ && !finished_) {
-            finished_ = true;
-            net_.sim().schedule_after(0, [this] { finalize(); });
-          }
-        }
-      }
-    }
-  }
-
-  /// Permanent stall: publish a failed result and release host handlers so
-  /// the calendar can drain.
-  void give_up() {
-    if (obs::Tracer* tr = net_.tracer()) {
-      tr->instant(trace_, "give-up", net_.sim().now(), "recovery");
-      tr->end(trace_, net_.sim().now());
-    }
-    CollectiveResult res;
-    res.ok = false;
-    res.in_network = false;
-    res.retransmits = retransmits_;
-    for (net::Host* host : participants_) host->clear_proto_handler(proto_);
-    handlers_set_ = false;
-    finished_ = true;
-    complete_ = true;
-    publish(std::move(res));  // may destroy *this — nothing after
-  }
-
-  void finalize() {
-    if (obs::Tracer* tr = net_.tracer()) {
-      tr->end(trace_, net_.sim().now());
-    }
-    CollectiveResult res;
-    res.blocks = P_;
-    res.in_network = false;
-    f64 err = 0.0, worst = 0.0, sum = 0.0;
-    for (const RHost& hr : runs_) {
-      err = std::max(err, hr.vec.max_abs_diff(expected_));
-      worst = std::max(worst, static_cast<f64>(hr.finish_ps - start_ps_));
-      sum += static_cast<f64>(hr.finish_ps - start_ps_);
-    }
-    res.max_abs_err = err;
-    res.ok = err <= core::reduce_tolerance(dtype_, P_);
-    res.completion_seconds = worst / kPsPerSecond;
-    res.mean_host_seconds = sum / P_ / kPsPerSecond;
-    res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
-    res.total_packets = net_.total_packets();
-    res.retransmits = retransmits_;
-    for (net::Host* host : participants_) host->clear_proto_handler(proto_);
-    handlers_set_ = false;
-    complete_ = true;
-    publish(std::move(res));  // may destroy *this — nothing after
-  }
-
-  net::Network& net_;
-  const std::vector<net::Host*>& participants_;
-  CollectiveOptions desc_;
-  u32 proto_;
-  u32 trace_;  ///< attribution tag + tracer row (see ctor)
-  core::ReduceOp op_;
-  core::DType dtype_ = core::DType::kFloat32;
-  u32 esize_ = 4;
-  u64 elems_total_ = 0;
-  u64 mtu_ = 4096;
-  u32 P_ = 0;
-  u64 base_traffic_ = 0;
-  SimTime start_ps_ = 0;
-  bool handlers_set_ = false;
-  /// NACK budget per stalled host before the op reports failure: with the
-  /// capped exponential backoff this tolerates outages two orders longer
-  /// than the timeout while still bounding a permanent stall.
-  static constexpr u32 kMaxNacks = 64;
-  SimTime timeout_ps_ = 0;
-  /// Outlives-`this` guard for watchdog events left on the calendar.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
-  bool watchdog_armed_ = false;
-  u64 retransmits_ = 0;
-  core::TypedBuffer expected_;
-  std::vector<RHost> runs_;
-  u32 hosts_done_ = 0;
-  bool finished_ = false;
-};
-
-
-// ========================================================== in-network ====
-// One event-driven driver for ALL in-network dense kinds (Section 8: the
-// extension collectives fall out of the allreduce machinery):
-//
-//   * allreduce — every host contributes its vector and consumes the
-//     aggregated multicast;
-//   * reduce    — same protocol; only the destination's buffer is the
-//     result (the multicast down is shared, as in the paper);
-//   * broadcast — the root contributes its data, everyone else the
-//     operator identity; the "sum" coming back is the root's vector;
-//   * barrier   — one 0-byte block; a host leaves the barrier when the
-//     root's empty result multicast reaches it.
-//
-// Fault tolerance (Tuning::retransmit_timeout_ps > 0), layered like
-// NetReduce + Canary (PAPERS.md):
-//   1. a per-op watchdog retransmits blocks outstanding past the timeout
-//      (switches re-emit cached results for blocks they already finished,
-//      so any single loss — contribution, aggregate, or multicast — heals);
-//   2. after max_retransmits of one block, or on a fabric fault notice
-//      that kills a tree element, the op declares the tree dead: it
-//      uninstalls the remains, recomputes + reinstalls on the surviving
-//      fabric under a FRESH collective id (stale packets drop harmlessly)
-//      and restarts the iteration;
-//   3. when no viable tree exists, an allreduce finishes on the host-ring
-//      data plane (reduce/broadcast/barrier retry once the fabric heals).
-// Persistent requests reinstall transparently between iterations.
-//
-// All of 1-3, the persistent upkeep and the congestion migration live in
-// detail::TreeOpBase (coll/op.{hpp,cpp}) and are shared verbatim with the
-// sparse engine's SparseOp; this class is the DENSE data plane only.
-
-class InNetOp final : public TreeOpBase {
- public:
-  InNetOp(net::Network& net, NetworkManager& manager,
-          const std::vector<net::Host*>& participants,
-          const CollectiveOptions& desc, core::AllreduceConfig cfg,
-          ReductionTree tree, bool owns_install,
-          net::CongestionMonitor* monitor = nullptr)
-      : TreeOpBase(net, manager, participants, desc, cfg, std::move(tree),
-                   owns_install, /*sparse=*/false, monitor),
-        op_(cfg.op) {
-    const u32 esize = core::dtype_size(desc_.dtype);
-    if (desc_.kind == CollectiveKind::kBarrier) {
-      elems_total_ = 0;
-      elems_per_pkt_ = 0;
-      nb_ = 1;
-    } else {
-      elems_total_ = std::max<u64>(1, desc_.data_bytes / esize);
-      elems_per_pkt_ = cfg_.elems_per_packet;
-      FLARE_ASSERT(elems_per_pkt_ >= 1);
-      nb_ = static_cast<u32>((elems_total_ + elems_per_pkt_ - 1) /
-                             elems_per_pkt_);
-    }
-    // Staggered sending keeps every block of the operation in flight
-    // (Section 5); windowed flow control applies to aligned sending.
-    window_ = desc_.order == core::SendOrder::kStaggered
-                  ? std::max(desc_.window_blocks, nb_)
-                  : std::max(1u, desc_.window_blocks);
-  }
-
-  void begin(u64 seed, std::shared_ptr<OpState> state) override {
-    if (!begin_prologue(seed, std::move(state))) return;
-    hosts_done_ = 0;
-    start_ps_ = net_.sim().now();
-    base_traffic_ = net_.total_traffic_bytes();
-    const u32 P = static_cast<u32>(participants_.size());
-
-    switch (desc_.kind) {
-      case CollectiveKind::kAllreduce:
-      case CollectiveKind::kReduce:
-        host_data_ = workload::make_dense_data(P, elems_total_, desc_.dtype,
-                                               seed);
-        expected_ = core::reference_reduce(host_data_, op_);
-        break;
-      case CollectiveKind::kBroadcast: {
-        Rng rng(seed);
-        payload_ = core::TypedBuffer(desc_.dtype, elems_total_);
-        payload_.fill_random(rng);
-        identity_ = core::TypedBuffer(desc_.dtype, elems_per_pkt_);
-        identity_.fill_identity(op_);
-        break;
-      }
-      case CollectiveKind::kBarrier:
-        break;
-    }
-
-    runs_.clear();
-    runs_.resize(P);
-    for (u32 h = 0; h < P; ++h) {
-      HostRun& hr = runs_[h];
-      hr.host = participants_[h];
-      if (consumes_payload()) {
-        hr.result = core::TypedBuffer(desc_.dtype, elems_total_);
-      }
-      hr.schedule = core::send_schedule(h, P, nb_, desc_.order);
-      hr.block_done.assign(nb_, false);
-      hr.retry.reset(nb_);
-      hr.host->set_reduce_handler(
-          cfg_.id, [this, h](const core::Packet& pkt) { on_down(h, pkt); });
-    }
-    for (u32 h = 0; h < P; ++h) try_send(h);
-    subscribe_faults();
-    arm_watchdog();
-  }
-
- private:
-  struct HostRun {
-    net::Host* host = nullptr;
-    core::TypedBuffer result;
-    std::vector<u32> schedule;
-    std::size_t next = 0;
-    u32 outstanding = 0;
-    u64 blocks_done = 0;
-    SimTime finish_ps = 0;
-    std::vector<bool> block_done;
-    BlockRetryState retry;  ///< shared watchdog bookkeeping (TreeOpBase)
-  };
-
-  bool consumes_payload() const {
-    return desc_.kind != CollectiveKind::kBarrier;
-  }
-
-  u32 block_elems(u32 b) const {
-    if (elems_per_pkt_ == 0) return 0;  // barrier
-    const u64 first = static_cast<u64>(b) * elems_per_pkt_;
-    return static_cast<u32>(
-        std::min<u64>(elems_per_pkt_, elems_total_ - first));
-  }
-
-  /// What host `h` feeds into the reduction for block `b`.
-  const void* contribution(u32 h, u32 b) const {
-    const u64 first = static_cast<u64>(b) * elems_per_pkt_;
-    switch (desc_.kind) {
-      case CollectiveKind::kAllreduce:
-      case CollectiveKind::kReduce:
-        return host_data_[h].at_byte(first);
-      case CollectiveKind::kBroadcast:
-        return h == desc_.root ? payload_.at_byte(first) : identity_.data();
-      case CollectiveKind::kBarrier:
-        return nullptr;
-    }
-    return nullptr;
-  }
-
-  void send_block(u32 h, u32 b, u16 extra_flags) {
-    HostRun& hr = runs_[h];
-    core::Packet p = core::make_dense_packet(
-        cfg_.id, b, tree_.host_child_index[hr.host->host_index()],
-        contribution(h, b), block_elems(b), desc_.dtype);
-    p.hdr.flags |= extra_flags;
-    net::NetPacket np;
-    np.kind = net::PacketKind::kReduceUp;
-    np.allreduce_id = cfg_.id;
-    np.trace = cfg_.trace;
-    np.wire_bytes = p.wire_bytes();
-    np.reduce = core::make_pooled_packet(std::move(p));
-    hr.host->send(std::move(np));
-  }
-
-  void try_send(u32 h) {
-    HostRun& hr = runs_[h];
-    while (hr.next < hr.schedule.size()) {
-      const u32 b = hr.schedule[hr.next];
-      // After a recovery restart the schedule replays from the top: blocks
-      // this host already holds results for are re-contributed (the fresh
-      // engines need every child's input) but consume no window slot and
-      // await no multicast.
-      const bool need_result = !hr.block_done[b];
-      if (need_result && hr.outstanding >= window_) break;
-      hr.next += 1;
-      if (need_result) {
-        hr.outstanding += 1;
-        hr.retry.sent[b] = true;
-        hr.retry.sent_ps[b] = net_.sim().now();
-      }
-      send_block(h, b, 0);
-    }
-  }
-
-  void on_down(u32 h, const core::Packet& pkt) {
-    HostRun& me = runs_[h];
-    const u32 b = pkt.hdr.block_id;
-    FLARE_ASSERT(b < nb_);
-    if (me.block_done[b]) return;  // duplicated multicast replica
-    me.block_done[b] = true;
-    FLARE_ASSERT(pkt.hdr.elem_count == block_elems(b));
-    if (consumes_payload()) {
-      const u64 first = static_cast<u64>(b) * elems_per_pkt_;
-      std::memcpy(me.result.at_byte(first), pkt.payload.data(),
-                  pkt.payload.size());
-    }
-    me.blocks_done += 1;
-    me.outstanding -= 1;
-    if (me.blocks_done == nb_) {
-      me.finish_ps = net_.sim().now();
-      hosts_done_ += 1;
-    }
-    try_send(h);
-    if (hosts_done_ == runs_.size() && !finished_) {
-      finished_ = true;
-      // Finalize off this packet's call stack: by the time every host
-      // holds every block, all switch-side events of this collective have
-      // run (host delivery is causally last on each path), so releasing or
-      // resetting switch state afterwards is race-free.
-      net_.sim().schedule_after(0, [this] { finalize(); });
-    }
-  }
-
-  // --------------------------------------------- TreeOpBase data hooks ----
-
-  /// Fallback data plane: the host ring (dense allreduce only; the other
-  /// kinds wait for the fabric to heal).
-  std::unique_ptr<OpBase> make_fallback_op() override {
-    if (desc_.kind != CollectiveKind::kAllreduce) return nullptr;
-    CollectiveOptions rdesc = desc_;
-    rdesc.algorithm = Algorithm::kHostRing;
-    // The ring inherits the session's trace id: the attribution plane sees
-    // one continuous tenant across the in-network -> host transition.
-    return std::make_unique<RingOp>(net_, participants_, rdesc, cfg_.trace);
-  }
-
-  /// Replays the iteration against a freshly installed tree: engines are
-  /// new, so every host re-contributes every block; already-delivered
-  /// results are kept (their multicast duplicates are dropped on arrival).
-  void restart_iteration() override {
-    for (u32 h = 0; h < runs_.size(); ++h) {
-      HostRun& hr = runs_[h];
-      hr.host->set_reduce_handler(
-          cfg_.id, [this, h](const core::Packet& pkt) { on_down(h, pkt); });
-      hr.next = 0;
-      hr.outstanding = 0;
-      hr.retry.reset(nb_);
-    }
-    for (u32 h = 0; h < runs_.size(); ++h) try_send(h);
-    arm_watchdog();
-  }
-
-  bool scan_timeouts() override {
-    return scan_block_timeouts(
-        static_cast<u32>(runs_.size()), nb_,
-        [this](u32 h) -> BlockRetryState& { return runs_[h].retry; },
-        [this](u32 h, u32 b) { return bool{runs_[h].block_done[b]}; },
-        [this](u32 h, u32 b) { send_block(h, b, core::kFlagRetransmit); });
-  }
-
-  void finalize() {
-    const u32 P = static_cast<u32>(runs_.size());
-    CollectiveResult res;
-    res.blocks = nb_;
-    res.in_network = true;
-    f64 worst = 0.0, sum = 0.0;
-    for (const HostRun& hr : runs_) {
-      worst = std::max(worst, static_cast<f64>(hr.finish_ps - start_ps_));
-      sum += static_cast<f64>(hr.finish_ps - start_ps_);
-    }
-    if (desc_.kind == CollectiveKind::kReduce) {
-      // Only the destination consumes the result; its delivery time is the
-      // reduce latency even though the shared multicast reaches everyone.
-      worst = static_cast<f64>(runs_[desc_.root].finish_ps - start_ps_);
-    }
-    res.completion_seconds = worst / kPsPerSecond;
-    res.mean_host_seconds = sum / P / kPsPerSecond;
-    res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
-    res.total_packets = net_.total_packets();
-
-    switch (desc_.kind) {
-      case CollectiveKind::kAllreduce: {
-        f64 err = 0.0;
-        for (const HostRun& hr : runs_)
-          err = std::max(err, hr.result.max_abs_diff(expected_));
-        res.max_abs_err = err;
-        res.ok = err <= core::reduce_tolerance(desc_.dtype, P);
-        break;
-      }
-      case CollectiveKind::kReduce:
-        res.max_abs_err = runs_[desc_.root].result.max_abs_diff(expected_);
-        res.ok = res.max_abs_err <= core::reduce_tolerance(desc_.dtype, P);
-        break;
-      case CollectiveKind::kBroadcast: {
-        f64 err = 0.0;
-        for (const HostRun& hr : runs_)
-          err = std::max(err, hr.result.max_abs_diff(payload_));
-        res.max_abs_err = err;
-        res.ok = err <= (core::dtype_is_float(desc_.dtype) ? 1e-4 : 0.0);
-        break;
-      }
-      case CollectiveKind::kBarrier:
-        res.ok = true;  // finalize fires only once every host is released
-        break;
-    }
-
-    for (const TreeSwitchEntry& e : tree_.switches) {
-      const net::ReduceRole* role = e.sw->role(cfg_.id);
-      if (role != nullptr && role->engine != nullptr) {
-        res.switch_working_mem_hwm = std::max(
-            res.switch_working_mem_hwm, role->engine->pool().high_water());
-      }
-    }
-    res.retransmits = retransmits_;
-    res.recoveries = recoveries_;
-    res.migrations = migrations_iter_;
-    res.planned_migrations = planned_iter_;
-    // Iteration bookkeeping (+ closes this iteration's tracer span).
-    record_iteration_time(static_cast<SimTime>(worst));
-
-    if (owns_install_) release_install();
-    complete_ = true;
-    publish(std::move(res));  // may destroy *this — nothing after
-  }
-
-  core::ReduceOp op_;
-  u64 elems_total_ = 0;
-  u32 elems_per_pkt_ = 0;
-  u32 nb_ = 0;
-  u32 window_ = 0;
-  u64 base_traffic_ = 0;
-  SimTime start_ps_ = 0;
-  std::vector<core::TypedBuffer> host_data_;
-  core::TypedBuffer payload_;   ///< broadcast source vector
-  core::TypedBuffer identity_;  ///< broadcast non-root contribution
-  core::TypedBuffer expected_;
-  std::vector<HostRun> runs_;
-  u32 hosts_done_ = 0;
-};
-
-}  // namespace detail
 
 // ===================================================== CollectiveHandle ===
 
@@ -768,7 +59,6 @@ PersistentCollective& PersistentCollective::operator=(
     cfg_ = other.cfg_;
     report_ = std::move(other.report_);
     op_ = std::move(other.op_);
-    host_ring_ = other.host_ring_;
     iterations_ = other.iterations_;
   }
   return *this;
@@ -784,7 +74,7 @@ const ReductionTree& PersistentCollective::tree() const {
   const ReductionTree* live =
       op_ != nullptr ? op_->current_tree() : nullptr;
   FLARE_ASSERT_MSG(live != nullptr,
-                   "tree() on a host-ring persistent (no installed tree)");
+                   "tree() on a host-plane persistent (no installed tree)");
   return *live;
 }
 
@@ -1071,7 +361,6 @@ PersistentCollective Communicator::persistent(const CollectiveOptions& desc) {
   if (alg == Algorithm::kHostRing || alg == Algorithm::kSparcml) {
     // Host data planes need no switch state: the persistent request is just
     // the reusable op.
-    pc.host_ring_ = true;
     pc.op_ = make_host_op(desc, alg);
     return pc;
   }
@@ -1093,8 +382,7 @@ PersistentCollective Communicator::persistent(const CollectiveOptions& desc) {
         (!sparse || sparcml_feasible(participants_.size()))) {
       // Admission rejected: a persistent host data plane needs no switch
       // state (the ring; SparCML for sparse workloads).
-      pc.host_ring_ = true;
-      pc.op_ = make_host_op(desc, sparse ? Algorithm::kSparcml
+        pc.op_ = make_host_op(desc, sparse ? Algorithm::kSparcml
                                          : Algorithm::kHostRing);
     }
     return pc;  // !ok() when no fallback applies

@@ -94,18 +94,18 @@ class PersistentCollective {
   /// run()/start() must not be called.
   bool ok() const { return op_ != nullptr; }
   /// Admission outcome of the one-time install (attempts, cache_hit,
-  /// any_feasible; empty tree for host-ring persistents, which need none).
-  /// After a fault recovery this reports the ORIGINAL admission; tree()
-  /// always reflects the live (possibly reinstalled) embedding.
+  /// any_feasible; empty tree for host data plane persistents, which need
+  /// none).  After a fault recovery this reports the ORIGINAL admission;
+  /// tree() always reflects the live (possibly reinstalled) embedding.
   const InstallReport& install_report() const { return report_; }
   /// True when this request currently holds an installed reduction tree
-  /// (false for host-ring persistents — including the kAuto admission
-  /// fallback — and for requests that lost their tree to a fabric fault
-  /// and are finishing on the host ring).
+  /// (false for host data plane persistents — including the kAuto
+  /// admission fallback — and for requests that lost their tree to a
+  /// fabric fault and are finishing on the host data plane).
   bool in_network() const;
-  /// Asserts in_network(): host-ring persistents have no tree.  Returns
-  /// the LIVE tree, which may differ from install_report()'s after a
-  /// fault-triggered reinstall or a congestion migration.
+  /// Asserts in_network(): host data plane persistents have no tree.
+  /// Returns the LIVE tree, which may differ from install_report()'s after
+  /// a fault-triggered reinstall or a congestion migration.
   const ReductionTree& tree() const;
   u32 iterations() const { return iterations_; }
   /// Congestion-triggered re-embeddings over the session's lifetime (each
@@ -121,7 +121,7 @@ class PersistentCollective {
 
   /// Stages a PlacementPlan move: the session re-embeds onto `target` at
   /// its next iteration boundary via the break-before-make fresh-id path.
-  /// False (nothing staged) for host-ring persistents and sessions
+  /// False (nothing staged) for host data plane persistents and sessions
   /// currently without an install.
   bool plan_migration(const ReductionTree& target);
 
@@ -153,7 +153,6 @@ class PersistentCollective {
   core::AllreduceConfig cfg_{};
   InstallReport report_;
   std::unique_ptr<detail::OpBase> op_;  ///< reused across iterations
-  bool host_ring_ = false;
   u32 iterations_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "coll/op.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -452,6 +453,248 @@ void TreeOpBase::validate_plan_apply(bool planned) {
 #else
   (void)planned;
 #endif
+}
+
+
+// ======================================================== HostOpBase ======
+
+HostOpBase::HostOpBase(net::Network& net,
+                       const std::vector<net::Host*>& participants,
+                       const CollectiveOptions& desc, u32 proto_base,
+                       u32 trace, const char* span)
+    : net_(net), participants_(participants), desc_(desc),
+      P_(static_cast<u32>(participants.size())),
+      proto_(proto_base + net.alloc_collective_id()),
+      trace_(trace != 0 ? trace : net.alloc_trace_id()), span_(span),
+      timeout_ps_(desc.retransmit_timeout_ps) {}
+
+HostOpBase::~HostOpBase() { release_handlers(); }
+
+void HostOpBase::release_handlers() {
+  if (!handlers_set_) return;
+  for (net::Host* host : participants_) host->clear_proto_handler(proto_);
+  handlers_set_ = false;
+}
+
+void HostOpBase::begin(u64 seed, std::shared_ptr<OpState> state) {
+  FLARE_ASSERT_MSG(state_ == nullptr,
+                   "previous iteration of this collective still running");
+  state_ = std::move(state);
+  complete_ = false;
+  finished_ = false;
+  hosts_done_ = 0;
+  retransmits_ = 0;
+  start_ps_ = net_.sim().now();
+  base_traffic_ = net_.total_traffic_bytes();
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->name_thread(trace_, "coll-" + std::to_string(trace_));
+    tr->begin(trace_, span_, start_ps_, "iteration");
+  }
+  stage(seed);
+
+  hosts_.clear();
+  hosts_.resize(P_);
+  for (u32 h = 0; h < P_; ++h) {
+    hosts_[h].last_progress_ps = start_ps_;
+    participants_[h]->set_proto_handler(
+        proto_, [this, h](const net::HostMsg& msg) { on_msg(h, msg); });
+  }
+  handlers_set_ = true;
+  if (P_ == 1) {
+    hosts_[0].finish_ps = start_ps_;
+    finished_ = true;
+    schedule_finalize();
+    return;
+  }
+  arm_watchdog();
+  for (u32 h = 0; h < P_; ++h) send_step(h, 0);
+}
+
+void HostOpBase::send_step(u32 h, u32 step) {
+  Payload p = payload(h, step);
+  transmit(h, step, p);
+  if (timeout_ps_ > 0) hosts_[h].sent[step] = std::move(p);  // NACK replay
+}
+
+void HostOpBase::transmit(u32 h, u32 step, const Payload& p) {
+  const u32 dst = send_peer(h, step);
+  const u32 frags = std::max<u32>(
+      1, static_cast<u32>((p.bytes + desc_.mtu_bytes - 1) / desc_.mtu_bytes));
+  for (u32 f = 0; f < frags; ++f) {
+    auto msg = std::make_shared<net::HostMsg>();
+    msg->dst_host = dst;
+    msg->tag = step;
+    msg->seq = f;
+    msg->seq_count = frags;
+    if (f + 1 == frags) {
+      msg->dense = p.dense;
+      msg->sparse = p.sparse;
+    }
+    const u64 frag_bytes = std::min<u64>(
+        desc_.mtu_bytes, p.bytes - static_cast<u64>(f) * desc_.mtu_bytes);
+    // One flow per (op, sender): FIFO along one ECMP path.
+    post(h, std::move(msg), h, frag_bytes + core::kPacketWireOverhead);
+  }
+}
+
+void HostOpBase::post(u32 h, std::shared_ptr<net::HostMsg> msg, u64 flow,
+                      u64 wire_bytes) {
+  msg->src_host = h;
+  msg->proto = proto_;
+  net::NetPacket np;
+  np.kind = net::PacketKind::kHostMsg;
+  np.dst_node = participants_[msg->dst_host]->id();
+  np.flow = (static_cast<u64>(proto_) << 16) | flow;
+  np.trace = trace_;
+  np.wire_bytes = wire_bytes;
+  np.msg = std::move(msg);
+  participants_[h]->send(std::move(np));
+}
+
+void HostOpBase::on_msg(u32 h, const net::HostMsg& msg) {
+  if (finished_) return;
+  if (msg.seq_count == 0) {  // NACK: the peer is missing step `tag`
+    handle_nack(h, msg.tag);
+    return;
+  }
+  Partial& partial = hosts_[h].inbox[msg.tag];
+  if (partial.have.empty()) partial.have.assign(msg.seq_count, false);
+  if (partial.have.at(msg.seq)) return;  // replayed fragment
+  partial.have[msg.seq] = true;
+  partial.have_count += 1;
+  if (msg.dense) partial.data.dense = msg.dense;
+  if (msg.sparse) partial.data.sparse = msg.sparse;
+  if (partial.have_count == static_cast<u32>(partial.have.size())) {
+    advance(h);
+  }
+}
+
+void HostOpBase::handle_nack(u32 h, u32 step) {
+  const auto it = hosts_[h].sent.find(step);
+  // Not sent yet: this host is itself behind; the payload goes out when it
+  // catches up and the requester's next timeout re-NACKs if needed.
+  if (it == hosts_[h].sent.end()) return;
+  retransmits_ += 1;
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->instant(trace_, "retransmit", net_.sim().now(), "recovery");
+  }
+  transmit(h, step, it->second);
+}
+
+void HostOpBase::send_nack(u32 h) {
+  const u32 step = hosts_[h].step;
+  auto msg = std::make_shared<net::HostMsg>();
+  msg->dst_host = recv_peer(h, step);
+  msg->tag = step;
+  msg->seq_count = 0;  // seq_count==0 marks a NACK
+  post(h, std::move(msg), 0x8000ull | h, core::kPacketWireOverhead);
+}
+
+void HostOpBase::arm_watchdog() {
+  if (timeout_ps_ == 0 || watchdog_armed_) return;
+  watchdog_armed_ = true;
+  std::weak_ptr<char> w = alive_;
+  net_.sim().schedule_after(timeout_ps_, [this, w] {
+    if (w.expired()) return;
+    watchdog_armed_ = false;
+    on_watchdog();
+  });
+}
+
+void HostOpBase::on_watchdog() {
+  if (finished_ || state_ == nullptr) return;  // iteration over: go idle
+  const SimTime now = net_.sim().now();
+  const u32 steps = num_steps();
+  for (u32 h = 0; h < P_; ++h) {
+    HostChannel& hc = hosts_[h];
+    if (hc.step >= steps) continue;
+    // Exponential backoff per stall (reset on progress): each NACK triggers
+    // a full payload replay, so pacing them out keeps a long outage from
+    // piling replays onto the healing links.
+    const u32 shift = std::min<u32>(hc.nacks, 6);
+    if (now - hc.last_progress_ps < (timeout_ps_ << shift)) continue;
+    if (hc.nacks >= kMaxNacks) {
+      // Permanent stall (a fault that never repairs): surface a FAILED
+      // result instead of NACKing the calendar forever.
+      give_up();
+      return;
+    }
+    hc.nacks += 1;
+    send_nack(h);  // stalled: ask the receive peer to replay
+  }
+  arm_watchdog();
+}
+
+void HostOpBase::advance(u32 h) {
+  HostChannel& hc = hosts_[h];
+  const u32 steps = num_steps();
+  while (hc.step < steps) {
+    auto it = hc.inbox.find(hc.step);
+    if (it == hc.inbox.end() || it->second.have.empty() ||
+        it->second.have_count != static_cast<u32>(it->second.have.size())) {
+      return;  // expected payload not fully here yet
+    }
+    const Payload in = std::move(it->second.data);
+    hc.inbox.erase(it);
+    hc.last_progress_ps = net_.sim().now();
+    hc.nacks = 0;
+    consume(h, hc.step, in);
+    hc.step += 1;
+    if (hc.step < steps) {
+      send_step(h, hc.step);
+    } else {
+      hc.finish_ps = net_.sim().now();
+      hosts_done_ += 1;
+      if (hosts_done_ == P_ && !finished_) {
+        finished_ = true;
+        schedule_finalize();
+      }
+    }
+  }
+}
+
+void HostOpBase::schedule_finalize() {
+  std::weak_ptr<char> w = alive_;
+  net_.sim().schedule_after(0, [this, w] {
+    if (!w.expired()) finalize();
+  });
+}
+
+void HostOpBase::give_up() {
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->instant(trace_, "give-up", net_.sim().now(), "recovery");
+    tr->end(trace_, net_.sim().now());
+  }
+  CollectiveResult res;
+  res.ok = false;
+  res.in_network = false;
+  res.retransmits = retransmits_;
+  release_handlers();
+  finished_ = true;
+  complete_ = true;
+  publish(std::move(res));  // may destroy *this — nothing after
+}
+
+void HostOpBase::finalize() {
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->end(trace_, net_.sim().now());
+  }
+  CollectiveResult res;
+  res.in_network = false;
+  f64 worst = 0.0, sum = 0.0;
+  for (const HostChannel& hc : hosts_) {
+    worst = std::max(worst, static_cast<f64>(hc.finish_ps - start_ps_));
+    sum += static_cast<f64>(hc.finish_ps - start_ps_);
+  }
+  res.completion_seconds = worst / kPsPerSecond;
+  res.mean_host_seconds = sum / P_ / kPsPerSecond;
+  res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
+  res.total_packets = net_.total_packets();
+  res.retransmits = retransmits_;
+  check(res);
+  release_handlers();
+  complete_ = true;
+  publish(std::move(res));  // may destroy *this — nothing after
 }
 
 }  // namespace flare::coll::detail

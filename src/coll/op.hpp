@@ -3,10 +3,12 @@
 //
 // detail::OpBase is one in-flight collective on the event calendar: begin()
 // kicks off an iteration, publish() hands the result to the caller's
-// CollectiveHandle.  detail::TreeOpBase is the chassis of the TREE-BACKED
-// in-network ops (dense InNetOp, sparse SparseOp): it owns the installed
-// reduction tree's lifetime and centralizes the three control-plane
-// reactions PRs 3-4 built so dense and sparse share them verbatim:
+// CollectiveHandle.  Two chassis sit on it:
+//
+// detail::TreeOpBase is the chassis of the TREE-BACKED in-network ops
+// (dense InNetOp, sparse SparseOp): it owns the installed reduction tree's
+// lifetime and centralizes the three control-plane reactions PRs 3-4 built
+// so dense and sparse share them verbatim:
 //
 //   * fault recovery — fresh-id uninstall/reinstall on the surviving
 //     fabric, bounded heal-waits, and a pluggable host-side fallback data
@@ -17,18 +19,28 @@
 //     Canary-style dynamic trees, triggered on the worst tree edge's
 //     FOREIGN EWMA utilization (per-collective link attribution subtracts
 //     the session's own traffic; no completion-time gate needed).
+//
+// detail::HostOpBase is the one reliable host-to-host channel under the
+// HOST-BASED ops (the ring, SparCML).  A host op is a step schedule: each
+// host walks steps 0..num_steps()-1, sending one payload to its send peer
+// and consuming one payload from its receive peer per step.  The base owns
+// everything else — a fresh wire-protocol id per op, fragmentation at
+// mtu_bytes with per-fragment reassembly bitmaps, per-step sent snapshots,
+// receiver-driven NACK/replay under a watchdog with capped exponential
+// backoff, the bounded NACK budget, and the shared half of finalize.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <vector>
-
 #include <optional>
+#include <unordered_map>
+#include <vector>
 
 #include "coll/manager.hpp"
 #include "coll/options.hpp"
 #include "coll/result.hpp"
 #include "common/validate.hpp"
+#include "net/packet.hpp"
 
 namespace flare::obs {
 class Tracer;
@@ -328,6 +340,128 @@ class TreeOpBase : public OpBase {
   SimTime last_iter_ps_ = 0;  ///< completion of the previous iteration
   SimTime best_iter_ps_ = 0;  ///< fastest iteration so far
   std::shared_ptr<OpState> fallback_state_;
+};
+
+
+/// Chassis of the host-based ops (see the file comment).  The concrete op
+/// supplies the step schedule and its data through the hooks below; the
+/// base never knows which schedule it serves.
+///
+/// Fault tolerance (Tuning::retransmit_timeout_ps > 0): a host advances
+/// strictly step by step, so loss detection is receiver-driven — a host
+/// stalled on its expected step for longer than the timeout NACKs its
+/// receive peer, which replays the recorded snapshot.  Fragment
+/// bookkeeping is idempotent (per-step bitmap), so duplicated replays and
+/// NACK storms are harmless, and a lost NACK is simply re-issued on the
+/// next watchdog tick.
+class HostOpBase : public OpBase {
+ public:
+  ~HostOpBase() override;
+
+  void begin(u64 seed, std::shared_ptr<OpState> state) final;
+
+ protected:
+  /// What one host sends at one step.  Fragmented at mtu_bytes; the typed
+  /// data rides on the last fragment.
+  struct Payload {
+    u64 bytes = 0;
+    std::shared_ptr<const core::TypedBuffer> dense;
+    std::shared_ptr<const std::vector<core::StoredPair>> sparse;
+  };
+
+  /// `proto_base` is the op family's wire-protocol prefix (a fresh
+  /// collective id is added, so overlapping ops over shared hosts never
+  /// mix fragments).  `trace`: attribution/tracer row id — nonzero when
+  /// the op is the fallback plane of an in-network session (it inherits
+  /// the session's stable trace so the attribution plane sees one
+  /// continuous tenant); 0 allocates a fresh one.  `span` names the
+  /// per-iteration tracer span.
+  HostOpBase(net::Network& net, const std::vector<net::Host*>& participants,
+             const CollectiveOptions& desc, u32 proto_base, u32 trace,
+             const char* span);
+
+  // ---- hooks the concrete schedule supplies ------------------------------
+
+  /// Steps every host walks per iteration.
+  virtual u32 num_steps() const = 0;
+  /// Host h's destination at `step`.
+  virtual u32 send_peer(u32 h, u32 step) const = 0;
+  /// Host h's source at `step` (the host a stalled h NACKs).
+  virtual u32 recv_peer(u32 h, u32 step) const = 0;
+  /// Stages the iteration's inputs and reference result from `seed`.
+  virtual void stage(u64 seed) = 0;
+  /// The payload host h sends at `step`; called once per step, after h
+  /// consumed step - 1.
+  virtual Payload payload(u32 h, u32 step) = 0;
+  /// Host h received its complete `step` payload.
+  virtual void consume(u32 h, u32 step, const Payload& in) = 0;
+  /// Checks the hosts' results: fills blocks, max_abs_err, ok and any
+  /// op-specific counters of `res`.
+  virtual void check(CollectiveResult& res) = 0;
+
+  net::Network& net_;
+  const std::vector<net::Host*>& participants_;
+  CollectiveOptions desc_;
+  const u32 P_;
+
+ private:
+  /// Reassembly state of one step's payload: per-fragment bitmap so that
+  /// replayed fragments never double-count.
+  struct Partial {
+    std::vector<bool> have;
+    u32 have_count = 0;
+    Payload data;
+  };
+  struct HostChannel {
+    u32 step = 0;
+    SimTime finish_ps = 0;
+    SimTime last_progress_ps = 0;
+    u32 nacks = 0;  ///< NACKs since last progress (backoff input)
+    std::unordered_map<u32, Partial> inbox;  ///< by step
+    /// What this host sent per step — kept until the op finishes so a NACK
+    /// can replay it (the working data has moved on by then).
+    std::unordered_map<u32, Payload> sent;
+  };
+
+  void send_step(u32 h, u32 step);
+  /// Sends every fragment of `p` to h's send peer at `step` (first send
+  /// and NACK-triggered replays take the same path).
+  void transmit(u32 h, u32 step, const Payload& p);
+  /// Stamps `msg` as host h's and sends it to its dst_host on flow
+  /// `flow` of this op.
+  void post(u32 h, std::shared_ptr<net::HostMsg> msg, u64 flow,
+            u64 wire_bytes);
+  void on_msg(u32 h, const net::HostMsg& msg);
+  void handle_nack(u32 h, u32 step);
+  void send_nack(u32 h);
+  void arm_watchdog();
+  void on_watchdog();
+  void advance(u32 h);
+  void schedule_finalize();
+  void release_handlers();
+  /// Permanent stall: publish a failed result and release host handlers so
+  /// the calendar can drain.
+  void give_up();
+  void finalize();
+
+  const u32 proto_;
+  const u32 trace_;  ///< attribution tag + tracer row (see ctor)
+  const char* span_;
+  /// NACK budget per stalled host before the op reports failure: with the
+  /// capped exponential backoff this tolerates outages two orders longer
+  /// than the timeout while still bounding a permanent stall.
+  static constexpr u32 kMaxNacks = 64;
+  SimTime timeout_ps_ = 0;
+  /// Outlives-`this` guard for events left on the calendar.
+  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  bool watchdog_armed_ = false;
+  bool handlers_set_ = false;
+  bool finished_ = false;
+  u64 base_traffic_ = 0;
+  SimTime start_ps_ = 0;
+  u64 retransmits_ = 0;
+  std::vector<HostChannel> hosts_;
+  u32 hosts_done_ = 0;
 };
 
 }  // namespace detail

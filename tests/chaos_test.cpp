@@ -232,27 +232,6 @@ TEST(ChaosTargeted, TotalSwitchLossFallsBackToHostRing) {
   expect_no_leaked_occupancy(net);
 }
 
-TEST(ChaosTargeted, HostRingSurvivesLinkFlap) {
-  // The ring data plane alone: a mid-run duplex outage on a host access
-  // link is healed by the NACK/replay machinery.
-  net::Network net;
-  auto topo = net::build_single_switch(net, 8);
-  CollectiveOptions desc = fault_tolerant_desc();
-  desc.algorithm = Algorithm::kHostRing;
-
-  net::FaultPlan plan;
-  plan.events.push_back({1 * kPsPerUs, net::FaultKind::kLinkDown, 2, 1});
-  plan.events.push_back({9 * kPsPerUs, net::FaultKind::kLinkUp, 2, 1});
-  net::FaultInjector injector(net);
-  injector.arm(plan);
-
-  Communicator comm(net, topo.hosts);
-  const auto res = comm.run(desc);
-  ASSERT_TRUE(res.ok);
-  EXPECT_EQ(res.max_abs_err, 0.0);
-  EXPECT_GE(res.retransmits, 1u);
-}
-
 TEST(ChaosTargeted, PermanentFaultReportsFailureInsteadOfHanging) {
   // A switch that never restarts: broadcast has no host-ring fallback, so
   // after the bounded heal-wait budget the op must publish ok == false and
@@ -268,22 +247,6 @@ TEST(ChaosTargeted, PermanentFaultReportsFailureInsteadOfHanging) {
   const auto res = comm.run(desc);
   EXPECT_FALSE(res.ok);
   expect_no_leaked_occupancy(net);
-}
-
-TEST(ChaosTargeted, PermanentRingStallReportsFailure) {
-  // The ring plane under a host access link that never comes back: the
-  // NACK budget runs out and the op publishes ok == false.
-  net::Network net;
-  auto topo = net::build_single_switch(net, 4);
-  net.sim().schedule_at(1 * kPsPerUs, [&net] {
-    net.set_duplex_up(0, false);  // h0's access link, down forever
-  });
-
-  CollectiveOptions desc = fault_tolerant_desc(8_KiB);
-  desc.algorithm = Algorithm::kHostRing;
-  Communicator comm(net, topo.hosts);
-  const auto res = comm.run(desc);
-  EXPECT_FALSE(res.ok);
 }
 
 // ------------------------------------------------------- sparse chaos -----
@@ -411,6 +374,62 @@ TEST(ChaosSparse, TotalSwitchLossFallsBackToSparcml) {
   expect_no_leaked_occupancy(net);
   expect_no_leaked_hash_store(net);
 }
+
+// --------------------------------------------------- host data planes ----
+// The ring and SparCML ride one reliable host channel (NACK/replay under a
+// watchdog, bounded NACK budget); every recovery case runs on both
+// schedules.  SparCML uses the small int32 sparse workload above.
+
+class HostPlaneChaos : public ::testing::TestWithParam<Algorithm> {
+ protected:
+  CollectiveOptions desc(u64 dense_bytes) const {
+    CollectiveOptions d = GetParam() == Algorithm::kSparcml
+                              ? sparse_fault_desc()
+                              : fault_tolerant_desc(dense_bytes);
+    d.algorithm = GetParam();
+    return d;
+  }
+};
+
+TEST_P(HostPlaneChaos, SurvivesLinkFlap) {
+  // The host data plane alone: a mid-run duplex outage on a host access
+  // link is healed by the NACK/replay machinery.
+  net::Network net;
+  auto topo = net::build_single_switch(net, 8);
+
+  net::FaultPlan plan;
+  plan.events.push_back({1 * kPsPerUs, net::FaultKind::kLinkDown, 2, 1});
+  plan.events.push_back({9 * kPsPerUs, net::FaultKind::kLinkUp, 2, 1});
+  net::FaultInjector injector(net);
+  injector.arm(plan);
+
+  Communicator comm(net, topo.hosts);
+  const auto res = comm.run(desc(32_KiB));
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.max_abs_err, 0.0);
+  EXPECT_GE(res.retransmits, 1u);
+}
+
+TEST_P(HostPlaneChaos, PermanentStallReportsFailure) {
+  // The host data plane under a host access link that never comes back:
+  // the NACK budget runs out and the op publishes ok == false.
+  net::Network net;
+  auto topo = net::build_single_switch(net, 4);
+  net.sim().schedule_at(1 * kPsPerUs, [&net] {
+    net.set_duplex_up(0, false);  // h0's access link, down forever
+  });
+
+  Communicator comm(net, topo.hosts);
+  const auto res = comm.run(desc(8_KiB));
+  EXPECT_FALSE(res.ok);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Planes, HostPlaneChaos,
+    ::testing::Values(Algorithm::kHostRing, Algorithm::kSparcml),
+    [](const ::testing::TestParamInfo<Algorithm>& info) {
+      return info.param == Algorithm::kSparcml ? "Sparcml" : "HostRing";
+    });
 
 /// Seeded sparse chaos runs, mirroring the dense sweep: every schedule
 /// completes bit-for-bit and replays identically.
