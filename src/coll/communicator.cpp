@@ -268,6 +268,55 @@ std::unique_ptr<detail::OpBase> Communicator::make_host_op(
   return std::make_unique<detail::RingOp>(net_, participants_, rdesc);
 }
 
+std::unique_ptr<detail::OpBase> Communicator::make_op(
+    const CollectiveOptions& desc, bool owns_install,
+    core::AllreduceConfig& cfg, InstallReport& report) {
+  if (desc.kind == CollectiveKind::kReduce ||
+      desc.kind == CollectiveKind::kBroadcast) {
+    FLARE_ASSERT_MSG(desc.root < participants_.size(),
+                     "root must index the participant group");
+  }
+  const Algorithm alg = resolve_algorithm(desc);
+  if (alg == Algorithm::kHostRing || alg == Algorithm::kSparcml) {
+    // Host data planes need no switch state.
+    return make_host_op(desc, alg);
+  }
+  const bool sparse = alg == Algorithm::kFlareSparse;
+  FLARE_ASSERT_MSG(alg == Algorithm::kFlareDense || sparse,
+                   "unresolved algorithm");
+  if (sparse) {
+    FLARE_ASSERT_MSG(desc.kind == CollectiveKind::kAllreduce,
+                     "sparse engines serve allreduce only");
+    FLARE_ASSERT_MSG(desc.sparse.pairs != nullptr ||
+                         desc.sparse.epoch_pairs != nullptr,
+                     "sparse collective without a sparse workload");
+  }
+  cfg = make_config(desc, alg);
+  report = install(desc, cfg, sparse);
+  if (!report) {
+    if (desc.algorithm == Algorithm::kAuto &&
+        desc.kind == CollectiveKind::kAllreduce &&
+        (!sparse || sparcml_feasible(participants_.size()))) {
+      // The paper's admission policy: fall back to the host data plane
+      // (the ring; SparCML for sparse workloads).
+      return make_host_op(desc, sparse ? Algorithm::kSparcml
+                                       : Algorithm::kHostRing);
+    }
+    return nullptr;
+  }
+  // A persistent op keeps its own copy of the tree; the report's copy
+  // backs install_report() and survives moves of the PersistentCollective.
+  ReductionTree tree = owns_install ? std::move(*report) : *report;
+  if (sparse) {
+    return std::make_unique<detail::SparseOp>(
+        net_, *manager_, participants_, desc, cfg, std::move(tree),
+        owns_install, cfg_.monitor);
+  }
+  return std::make_unique<detail::InNetOp>(
+      net_, *manager_, participants_, desc, cfg, std::move(tree),
+      owns_install, cfg_.monitor);
+}
+
 CollectiveHandle Communicator::start_op(
     std::unique_ptr<detail::OpBase> op, u64 seed, CompletionFn on_complete) {
   auto state = std::make_shared<detail::OpState>();
@@ -282,62 +331,19 @@ CollectiveHandle Communicator::start_op(
 CollectiveHandle Communicator::start(const CollectiveOptions& desc,
                                      CompletionFn on_complete) {
   reap();
-  if (desc.kind == CollectiveKind::kReduce ||
-      desc.kind == CollectiveKind::kBroadcast) {
-    FLARE_ASSERT_MSG(desc.root < participants_.size(),
-                     "root must index the participant group");
+  core::AllreduceConfig cfg;
+  InstallReport report;
+  std::unique_ptr<detail::OpBase> op =
+      make_op(desc, /*owns_install=*/true, cfg, report);
+  if (op == nullptr) {
+    // Explicit in-network request rejected by admission: report failure
+    // through an immediately-complete handle.
+    auto state = std::make_shared<detail::OpState>();
+    state->done = true;
+    if (on_complete) on_complete(state->result);
+    return CollectiveHandle(std::move(state));
   }
-  const Algorithm alg = resolve_algorithm(desc);
-  switch (alg) {
-    case Algorithm::kFlareDense:
-    case Algorithm::kFlareSparse: {
-      const bool sparse = alg == Algorithm::kFlareSparse;
-      if (sparse) {
-        FLARE_ASSERT_MSG(desc.kind == CollectiveKind::kAllreduce,
-                         "sparse engines serve allreduce only");
-        FLARE_ASSERT_MSG(desc.sparse.pairs != nullptr ||
-                             desc.sparse.epoch_pairs != nullptr,
-                         "sparse collective without a sparse workload");
-      }
-      const core::AllreduceConfig cfg = make_config(desc, alg);
-      InstallReport report = install(desc, cfg, sparse);
-      if (!report) {
-        if (desc.algorithm == Algorithm::kAuto &&
-            desc.kind == CollectiveKind::kAllreduce &&
-            (!sparse || sparcml_feasible(participants_.size()))) {
-          // The paper's admission policy: fall back to the host data plane
-          // (the ring; SparCML for sparse workloads).
-          return start_op(make_host_op(desc, sparse ? Algorithm::kSparcml
-                                                    : Algorithm::kHostRing),
-                          desc.seed, std::move(on_complete));
-        }
-        // Explicit in-network request rejected by admission: report
-        // failure through an immediately-complete handle.
-        auto state = std::make_shared<detail::OpState>();
-        state->done = true;
-        if (on_complete) on_complete(state->result);
-        return CollectiveHandle(std::move(state));
-      }
-      std::unique_ptr<detail::OpBase> op;
-      if (sparse) {
-        op = std::make_unique<detail::SparseOp>(
-            net_, *manager_, participants_, desc, cfg, std::move(*report),
-            /*owns_install=*/true, cfg_.monitor);
-      } else {
-        op = std::make_unique<detail::InNetOp>(
-            net_, *manager_, participants_, desc, cfg, std::move(*report),
-            /*owns_install=*/true, cfg_.monitor);
-      }
-      return start_op(std::move(op), desc.seed, std::move(on_complete));
-    }
-    case Algorithm::kHostRing:
-    case Algorithm::kSparcml:
-      return start_op(make_host_op(desc, alg), desc.seed,
-                      std::move(on_complete));
-    case Algorithm::kAuto:
-      break;  // resolved above
-  }
-  FLARE_UNREACHABLE("unresolved algorithm");
+  return start_op(std::move(op), desc.seed, std::move(on_complete));
 }
 
 CollectiveResult Communicator::run(const CollectiveOptions& desc) {
@@ -349,55 +355,11 @@ CollectiveResult Communicator::run(const CollectiveOptions& desc) {
 }
 
 PersistentCollective Communicator::persistent(const CollectiveOptions& desc) {
-  if (desc.kind == CollectiveKind::kReduce ||
-      desc.kind == CollectiveKind::kBroadcast) {
-    FLARE_ASSERT_MSG(desc.root < participants_.size(),
-                     "root must index the participant group");
-  }
   PersistentCollective pc;
   pc.comm_ = this;
   pc.desc_ = desc;
-  const Algorithm alg = resolve_algorithm(desc);
-  if (alg == Algorithm::kHostRing || alg == Algorithm::kSparcml) {
-    // Host data planes need no switch state: the persistent request is just
-    // the reusable op.
-    pc.op_ = make_host_op(desc, alg);
-    return pc;
-  }
-  const bool sparse = alg == Algorithm::kFlareSparse;
-  FLARE_ASSERT_MSG(alg == Algorithm::kFlareDense || sparse,
-                   "unresolved algorithm");
-  if (sparse) {
-    FLARE_ASSERT_MSG(desc.kind == CollectiveKind::kAllreduce,
-                     "sparse engines serve allreduce only");
-    FLARE_ASSERT_MSG(desc.sparse.pairs != nullptr ||
-                         desc.sparse.epoch_pairs != nullptr,
-                     "sparse collective without a sparse workload");
-  }
-  pc.cfg_ = make_config(desc, alg);
-  pc.report_ = install(desc, pc.cfg_, sparse);
-  if (!pc.report_) {
-    if (desc.algorithm == Algorithm::kAuto &&
-        desc.kind == CollectiveKind::kAllreduce &&
-        (!sparse || sparcml_feasible(participants_.size()))) {
-      // Admission rejected: a persistent host data plane needs no switch
-      // state (the ring; SparCML for sparse workloads).
-        pc.op_ = make_host_op(desc, sparse ? Algorithm::kSparcml
-                                         : Algorithm::kHostRing);
-    }
-    return pc;  // !ok() when no fallback applies
-  }
-  // The op keeps its own copy of the tree; the report's copy backs
-  // tree()/release() and survives moves of the PersistentCollective.
-  if (sparse) {
-    pc.op_ = std::make_unique<detail::SparseOp>(
-        net_, *manager_, participants_, desc, pc.cfg_, *pc.report_,
-        /*owns_install=*/false, cfg_.monitor);
-  } else {
-    pc.op_ = std::make_unique<detail::InNetOp>(
-        net_, *manager_, participants_, desc, pc.cfg_, *pc.report_,
-        /*owns_install=*/false, cfg_.monitor);
-  }
+  // !ok() when admission rejects the install and no fallback applies.
+  pc.op_ = make_op(desc, /*owns_install=*/false, pc.cfg_, pc.report_);
   return pc;
 }
 

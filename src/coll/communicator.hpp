@@ -207,6 +207,17 @@ class Communicator {
   /// explicit requests and for kAuto admission fallbacks.
   std::unique_ptr<detail::OpBase> make_host_op(const CollectiveOptions& desc,
                                                Algorithm alg);
+  /// The one op factory behind start() and persistent().  In-network
+  /// algorithms get a config (`cfg`) and an install (`report`, the
+  /// admission outcome) and become an InNetOp or SparseOp; when admission
+  /// rejects a kAuto allreduce the op is the host fallback instead.
+  /// nullptr when an explicit in-network request is rejected.
+  /// `owns_install`: one-shot ops release the install at finalize;
+  /// persistent ones keep it until PersistentCollective::release().
+  std::unique_ptr<detail::OpBase> make_op(const CollectiveOptions& desc,
+                                          bool owns_install,
+                                          core::AllreduceConfig& cfg,
+                                          InstallReport& report);
   void reap();
 
   net::Network& net_;

@@ -27,9 +27,12 @@
 //      data plane (reduce/broadcast/barrier retry once the fabric heals).
 // Persistent requests reinstall transparently between iterations.
 //
-// All of 1-3, the persistent upkeep and the congestion migration live in
-// detail::TreeOpBase (coll/op.{hpp,cpp}) and are shared verbatim with the
-// sparse engine's SparseOp; this class is the DENSE data plane only.
+// This class is a block codec over detail::TreeOpBase (coll/op.{hpp,cpp}):
+// it says what a dense block's packet carries and that one multicast
+// packet completes it.  The block pipeline (window, send schedule,
+// duplicate filter, timeout retransmission), 1-3, the persistent upkeep
+// and the congestion migration are the base's, shared verbatim with the
+// sparse engine's SparseOp.
 #pragma once
 
 #include "coll/op.hpp"
@@ -45,58 +48,32 @@ class InNetOp final : public TreeOpBase {
           ReductionTree tree, bool owns_install,
           net::CongestionMonitor* monitor = nullptr);
 
-  void begin(u64 seed, std::shared_ptr<OpState> state) override;
-
  private:
-  struct HostRun {
-    net::Host* host = nullptr;
-    core::TypedBuffer result;
-    std::vector<u32> schedule;
-    std::size_t next = 0;
-    u32 outstanding = 0;
-    u64 blocks_done = 0;
-    SimTime finish_ps = 0;
-    std::vector<bool> block_done;
-    BlockRetryState retry;  ///< shared watchdog bookkeeping (TreeOpBase)
-  };
-
   bool consumes_payload() const;
   u32 block_elems(u32 b) const;
 
   /// What host `h` feeds into the reduction for block `b`.
   const void* contribution(u32 h, u32 b) const;
 
-  void send_block(u32 h, u32 b, u16 extra_flags);
-  void try_send(u32 h);
-  void on_down(u32 h, const core::Packet& pkt);
+  // ------------------------------------------- TreeOpBase codec hooks ----
 
-  // --------------------------------------------- TreeOpBase data hooks ----
-
+  void stage(u64 seed) override;
+  void send_block(u32 h, u32 b, u16 flags) override;
+  /// One multicast packet carries the whole block: copy it out.
+  bool accept(u32 h, const core::Packet& pkt) override;
+  void check(CollectiveResult& res) override;
   /// Fallback data plane: the host ring (dense allreduce only; the other
   /// kinds wait for the fabric to heal).
   std::unique_ptr<OpBase> make_fallback_op() override;
 
-  /// Replays the iteration against a freshly installed tree: engines are
-  /// new, so every host re-contributes every block; already-delivered
-  /// results are kept (their multicast duplicates are dropped on arrival).
-  void restart_iteration() override;
-
-  bool scan_timeouts() override;
-  void finalize();
-
   core::ReduceOp op_;
   u64 elems_total_ = 0;
   u32 elems_per_pkt_ = 0;
-  u32 nb_ = 0;
-  u32 window_ = 0;
-  u64 base_traffic_ = 0;
-  SimTime start_ps_ = 0;
   std::vector<core::TypedBuffer> host_data_;
   core::TypedBuffer payload_;   ///< broadcast source vector
   core::TypedBuffer identity_;  ///< broadcast non-root contribution
   core::TypedBuffer expected_;
-  std::vector<HostRun> runs_;
-  u32 hosts_done_ = 0;
+  std::vector<core::TypedBuffer> results_;  ///< per host
 };
 
 }  // namespace flare::coll::detail

@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/staggered.hpp"
 #include "net/telemetry.hpp"
 #include "obs/trace.hpp"
 
@@ -36,6 +37,7 @@ TreeOpBase::TreeOpBase(net::Network& net, NetworkManager& manager,
                        net::CongestionMonitor* monitor)
     : net_(net), manager_(manager), participants_(participants),
       desc_(desc), cfg_(cfg), tree_(std::move(tree)),
+      P_(static_cast<u32>(participants.size())),
       owns_install_(owns_install), sparse_(sparse), monitor_(monitor) {
   timeout_ps_ = desc_.retransmit_timeout_ps;
   max_retry_ = desc_.max_retransmits;
@@ -57,7 +59,18 @@ void TreeOpBase::release_install() {
   installed_ = false;
 }
 
-bool TreeOpBase::begin_prologue(u64 seed, std::shared_ptr<OpState> state) {
+void TreeOpBase::set_blocks(u32 blocks) {
+  nb_ = blocks;
+  // Staggered sending keeps every block of the operation in flight
+  // (Section 5); windowed flow control applies to aligned sending.
+  window_ = desc_.order == core::SendOrder::kStaggered
+                ? std::max(desc_.window_blocks, nb_)
+                : std::max(1u, desc_.window_blocks);
+}
+
+// ------------------------------------------------------ block pipeline ----
+
+void TreeOpBase::begin(u64 seed, std::shared_ptr<OpState> state) {
   FLARE_ASSERT_MSG(state_ == nullptr,
                    "previous iteration of this collective still running");
   seed_ = seed;
@@ -78,16 +91,137 @@ bool TreeOpBase::begin_prologue(u64 seed, std::shared_ptr<OpState> state) {
   }
   first_begin_ = false;
   trace_iteration_begin();
-  if (fallback_active()) {
-    // Earlier iterations lost the fabric for good: run on the host-side
-    // fallback data plane.
-    begin_fallback_iteration(seed, std::move(state));
-    return false;
-  }
   state_ = std::move(state);
   complete_ = false;
   finished_ = false;
-  return true;
+  if (fallback_active()) {
+    // Earlier iterations lost the fabric for good: run on the host-side
+    // fallback data plane.
+    start_fallback_iteration(seed);
+    return;
+  }
+  hosts_done_ = 0;
+  start_ps_ = net_.sim().now();
+  base_traffic_ = net_.total_traffic_bytes();
+  stage(seed);
+  runs_.clear();
+  runs_.resize(P_);
+  for (u32 h = 0; h < P_; ++h) {
+    HostRun& hr = runs_[h];
+    hr.schedule = core::send_schedule(h, P_, nb_, desc_.order);
+    hr.block_done.assign(nb_, false);
+  }
+  start_sends();
+  subscribe_faults();
+  arm_watchdog();
+}
+
+void TreeOpBase::start_sends() {
+  for (u32 h = 0; h < P_; ++h) {
+    HostRun& hr = runs_[h];
+    participants_[h]->set_reduce_handler(
+        cfg_.id, [this, h](const core::Packet& pkt) { on_down(h, pkt); });
+    hr.next = 0;
+    hr.outstanding = 0;
+    hr.sent.assign(nb_, false);
+    hr.sent_ps.assign(nb_, 0);
+    hr.retries.assign(nb_, 0);
+  }
+  for (u32 h = 0; h < P_; ++h) try_send(h);
+}
+
+void TreeOpBase::try_send(u32 h) {
+  HostRun& hr = runs_[h];
+  while (hr.next < hr.schedule.size()) {
+    const u32 b = hr.schedule[hr.next];
+    // After a recovery restart the schedule replays from the top: blocks
+    // this host already holds results for are re-contributed (the fresh
+    // engines need every child's input) but consume no window slot and
+    // await no multicast.
+    const bool need_result = !hr.block_done[b];
+    if (need_result && hr.outstanding >= window_) break;
+    hr.next += 1;
+    if (need_result) {
+      hr.outstanding += 1;
+      hr.sent[b] = true;
+      hr.sent_ps[b] = net_.sim().now();
+    }
+    send_block(h, b, 0);
+  }
+}
+
+void TreeOpBase::on_down(u32 h, const core::Packet& pkt) {
+  HostRun& me = runs_[h];
+  const u32 b = pkt.hdr.block_id;
+  FLARE_ASSERT(b < nb_);
+  if (me.block_done[b]) return;  // duplicated multicast replica
+  if (!accept(h, pkt)) return;   // block still partial at this host
+  me.block_done[b] = true;
+  me.blocks_done += 1;
+  me.outstanding -= 1;
+  if (me.blocks_done == nb_) {
+    me.finish_ps = net_.sim().now();
+    hosts_done_ += 1;
+  }
+  try_send(h);
+  if (hosts_done_ == P_ && !finished_) {
+    finished_ = true;
+    // Finalize off this packet's call stack: by the time every host
+    // holds every block, all switch-side events of this collective have
+    // run (host delivery is causally last on each path), so releasing or
+    // resetting switch state afterwards is race-free.
+    std::weak_ptr<char> w = alive_;
+    net_.sim().schedule_after(0, [this, w] {
+      if (!w.expired()) finalize();
+    });
+  }
+}
+
+void TreeOpBase::restart_iteration() {
+  reset_incomplete();
+  start_sends();
+  arm_watchdog();
+}
+
+void TreeOpBase::stamp_counters(CollectiveResult& res) const {
+  res.retransmits += retransmits_;
+  res.recoveries = recoveries_;
+  res.migrations = migrations_iter_;
+  res.planned_migrations = planned_iter_;
+}
+
+void TreeOpBase::finalize() {
+  CollectiveResult res;
+  res.blocks = nb_;
+  res.in_network = true;
+  f64 worst = 0.0, sum = 0.0;
+  for (const HostRun& hr : runs_) {
+    worst = std::max(worst, static_cast<f64>(hr.finish_ps - start_ps_));
+    sum += static_cast<f64>(hr.finish_ps - start_ps_);
+  }
+  if (desc_.kind == CollectiveKind::kReduce) {
+    // Only the destination consumes the result; its delivery time is the
+    // reduce latency even though the shared multicast reaches everyone.
+    worst = static_cast<f64>(runs_[desc_.root].finish_ps - start_ps_);
+  }
+  res.completion_seconds = worst / kPsPerSecond;
+  res.mean_host_seconds = sum / P_ / kPsPerSecond;
+  res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
+  res.total_packets = net_.total_packets();
+  for (const TreeSwitchEntry& e : tree_.switches) {
+    const net::ReduceRole* role = e.sw->role(cfg_.id);
+    if (role != nullptr && role->engine != nullptr) {
+      res.switch_working_mem_hwm = std::max(
+          res.switch_working_mem_hwm, role->engine->pool().high_water());
+    }
+  }
+  check(res);
+  stamp_counters(res);
+  trace_iteration_end();
+
+  if (owns_install_) release_install();
+  complete_ = true;
+  publish(std::move(res));  // may destroy *this — nothing after
 }
 
 // ------------------------------------------------------ fault recovery ----
@@ -130,41 +264,37 @@ void TreeOpBase::arm_watchdog() {
 
 void TreeOpBase::on_watchdog() {
   if (!iteration_active() || fallback_active()) return;
-  if (scan_timeouts()) {
+  if (scan_block_timeouts()) {
     recover(/*force=*/true);
     if (!iteration_active() || fallback_active()) return;
   }
   arm_watchdog();
 }
 
-bool TreeOpBase::scan_block_timeouts(
-    u32 hosts, u32 blocks,
-    const std::function<BlockRetryState&(u32 host)>& retry_of,
-    const std::function<bool(u32 host, u32 block)>& block_done,
-    const std::function<void(u32 host, u32 block)>& resend) {
+bool TreeOpBase::scan_block_timeouts() {
   const SimTime now = net_.sim().now();
   bool escalate = false;
-  for (u32 h = 0; h < hosts; ++h) {
-    BlockRetryState& rs = retry_of(h);
-    for (u32 b = 0; b < blocks; ++b) {
-      if (!rs.sent[b] || block_done(h, b)) continue;
+  for (u32 h = 0; h < P_; ++h) {
+    HostRun& hr = runs_[h];
+    for (u32 b = 0; b < nb_; ++b) {
+      if (!hr.sent[b] || hr.block_done[b]) continue;
       // Exponential backoff: each retry doubles the wait.  Without it a
       // full-message resend (serialization time > timeout) can outlast
       // the timer, triggering a self-sustaining retransmission storm
       // that congests the access links faster than they drain.
-      const u32 shift = std::min<u32>(rs.retries[b], 6);
-      if (now - rs.sent_ps[b] < (timeout_ps_ << shift)) continue;
-      if (rs.retries[b] >= max_retry_) {
+      const u32 shift = std::min<u32>(hr.retries[b], 6);
+      if (now - hr.sent_ps[b] < (timeout_ps_ << shift)) continue;
+      if (hr.retries[b] >= max_retry_) {
         escalate = true;  // retransmission is not healing this block
         continue;
       }
-      rs.retries[b] += 1;
+      hr.retries[b] += 1;
       retransmits_ += 1;
-      rs.sent_ps[b] = now;
+      hr.sent_ps[b] = now;
       if (obs::Tracer* tr = tracer()) {
         tr->instant(cfg_.trace, "retransmit", now, "recovery");
       }
-      resend(h, b);
+      send_block(h, b, core::kFlagRetransmit);
     }
   }
   return escalate;
@@ -204,16 +334,21 @@ void TreeOpBase::recover(bool force) {
     return;
   }
   // No host fallback for this kind: wait for the fabric to heal (repairs
-  // also notify, this is the backstop poll).  Bounded: a fault that is
-  // never repaired must surface as a FAILED result, not hang the calendar.
+  // also notify, this is the backstop poll).  One poll at a time — the
+  // watchdog's escalations land here every period too.  Bounded: a fault
+  // that is never repaired must surface as a FAILED result, not hang the
+  // calendar.
+  if (heal_poll_armed_) return;
   if (recover_waits_ >= kMaxRecoverWaits) {
     give_up();
     return;
   }
   recover_waits_ += 1;
+  heal_poll_armed_ = true;
   std::weak_ptr<char> w = alive_;
   net_.sim().schedule_after(timeout_ps_, [this, w] {
     if (w.expired()) return;
+    heal_poll_armed_ = false;
     recover(/*force=*/false);
   });
 }
@@ -226,10 +361,7 @@ void TreeOpBase::give_up() {
   release_install();
   CollectiveResult res;
   res.ok = false;
-  res.retransmits = retransmits_;
-  res.recoveries = recoveries_;
-  res.migrations = migrations_iter_;
-    res.planned_migrations = planned_iter_;
+  stamp_counters(res);
   finished_ = true;
   complete_ = true;
   publish(std::move(res));  // may destroy *this — nothing after
@@ -258,22 +390,11 @@ void TreeOpBase::start_fallback_iteration(u64 seed) {
   fallback_op_->begin(seed, fallback_state_);
 }
 
-void TreeOpBase::begin_fallback_iteration(u64 seed,
-                                          std::shared_ptr<OpState> state) {
-  state_ = std::move(state);
-  complete_ = false;
-  finished_ = false;
-  start_fallback_iteration(seed);
-}
-
 void TreeOpBase::on_fallback_done() {
   trace_iteration_end();
   CollectiveResult res = fallback_state_->result;
   res.fell_back = true;
-  res.retransmits += retransmits_;
-  res.recoveries = recoveries_;
-  res.migrations = migrations_iter_;
-    res.planned_migrations = planned_iter_;
+  stamp_counters(res);
   finished_ = true;
   complete_ = true;
   publish(std::move(res));  // may destroy *this — nothing after
@@ -308,14 +429,6 @@ void TreeOpBase::refresh_persistent_install() {
 }
 
 // ------------------------------------------------ congestion adaptation ---
-
-void TreeOpBase::record_iteration_time(SimTime worst_ps) {
-  last_iter_ps_ = worst_ps;
-  if (best_iter_ps_ == 0 || last_iter_ps_ < best_iter_ps_) {
-    best_iter_ps_ = last_iter_ps_;
-  }
-  trace_iteration_end();
-}
 
 void TreeOpBase::maybe_migrate() {
   if (monitor_ == nullptr || desc_.migrate_above <= 0.0 || !installed_ ||

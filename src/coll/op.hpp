@@ -5,10 +5,18 @@
 // kicks off an iteration, publish() hands the result to the caller's
 // CollectiveHandle.  Two chassis sit on it:
 //
-// detail::TreeOpBase is the chassis of the TREE-BACKED in-network ops
-// (dense InNetOp, sparse SparseOp): it owns the installed reduction tree's
-// lifetime and centralizes the three control-plane reactions PRs 3-4 built
-// so dense and sparse share them verbatim:
+// detail::TreeOpBase is the chassis of the TREE-BACKED in-network ops.
+// Dense and sparse hosts play the same role (Section 4.1): stream
+// reduction blocks under a window, retransmit a block after a host
+// timeout, consume the switch's multicast result.  So the base owns the
+// whole block pipeline — per-host send schedules and window, the duplicate
+// filter and completion tail of the down path, the timeout scan with
+// exponential backoff, restart after a reinstall, and the shared half of
+// finalize — and the concrete op (dense InNetOp, sparse SparseOp) is a
+// block CODEC: it stages an iteration, encodes a block into packets,
+// decides when a received block is complete (one packet dense; every
+// shard sparse) and checks the result.  The base also owns the installed
+// reduction tree's lifetime and the three control-plane reactions:
 //
 //   * fault recovery — fresh-id uninstall/reinstall on the surviving
 //     fabric, bounded heal-waits, and a pluggable host-side fallback data
@@ -125,24 +133,11 @@ class OpBase {
   bool complete_ = false;
 };
 
-/// Per-host, per-block retry bookkeeping shared by the tree-backed data
-/// planes: which sent blocks still await a result, when each was last
-/// (re)transmitted, and how many times.
-struct BlockRetryState {
-  std::vector<bool> sent;        ///< result still pending for a sent block
-  std::vector<SimTime> sent_ps;  ///< last (re)transmission time per block
-  std::vector<u32> retries;      ///< retransmissions per block this epoch
-  void reset(u32 blocks) {
-    sent.assign(blocks, false);
-    sent_ps.assign(blocks, 0);
-    retries.assign(blocks, 0);
-  }
-};
-
 /// Chassis of the tree-backed in-network ops (see the file comment).  The
-/// concrete op supplies the data plane through four hooks; everything
-/// about the install's lifetime — recovery, persistence, migration — runs
-/// here, identically for the dense and sparse engines.
+/// concrete op is a block codec: it supplies the packet contents and the
+/// "block complete" test through the hooks below; the block pipeline and
+/// everything about the install's lifetime — recovery, persistence,
+/// migration — run here, identically for the dense and sparse engines.
 class TreeOpBase : public OpBase {
  public:
   TreeOpBase(net::Network& net, NetworkManager& manager,
@@ -151,6 +146,11 @@ class TreeOpBase : public OpBase {
              ReductionTree tree, bool owns_install, bool sparse,
              net::CongestionMonitor* monitor);
   ~TreeOpBase() override;
+
+  /// Kicks off one iteration: persistent upkeep and migration at the
+  /// boundary, then either the fallback data plane or the in-network
+  /// block pipeline (stage, wire hosts, first window of sends, watchdog).
+  void begin(u64 seed, std::shared_ptr<OpState> state) final;
 
   const ReductionTree* current_tree() const override {
     return installed_ ? &tree_ : nullptr;
@@ -170,33 +170,75 @@ class TreeOpBase : public OpBase {
 #endif
 
  protected:
-  // ---- hooks the concrete op supplies -----------------------------------
+  // ---- hooks the block codec supplies -----------------------------------
 
+  /// Stages the iteration's inputs, reference and per-host receive state
+  /// from `seed`; runs once per in-network iteration, before any send.
+  virtual void stage(u64 seed) = 0;
+  /// (Re)transmits host h's contribution to block b, OR-ing `flags` into
+  /// every packet header (kFlagRetransmit on a watchdog resend).
+  virtual void send_block(u32 h, u32 b, u16 flags) = 0;
+  /// Host h received `pkt` for block pkt.hdr.block_id, which it has not
+  /// completed yet.  Absorbs the packet; true once the block is complete.
+  virtual bool accept(u32 h, const core::Packet& pkt) = 0;
+  /// A recovery restart swaps in fresh engines: forget the partial receive
+  /// state of every block some host has not completed.
+  virtual void reset_incomplete() {}
+  /// Checks the hosts' results: fills max_abs_err, ok and any
+  /// codec-specific counters of `res`.
+  virtual void check(CollectiveResult& res) = 0;
   /// Host-side fallback data plane once no viable tree remains (the ring
-  /// for dense allreduce, SparCML for sparse allreduce); nullptr when the
-  /// kind has none (reduce/broadcast/barrier wait for the fabric to heal).
+  /// for dense allreduce, SparCML for sparse allreduce); nullptr when there
+  /// is none (reduce/broadcast/barrier, and sparse groups SparCML cannot
+  /// serve, wait for the fabric to heal).
   virtual std::unique_ptr<OpBase> make_fallback_op() = 0;
-
-  /// Replays the CURRENT iteration against a freshly installed tree
-  /// (engines are new: every host re-contributes every block).
-  virtual void restart_iteration() = 0;
-
-  /// One watchdog pass over the outstanding blocks: retransmit what timed
-  /// out (with the caller-side exponential backoff) and return true when
-  /// some block exhausted max_retransmits — the base then escalates into
-  /// recover().
-  virtual bool scan_timeouts() = 0;
 
   // ---- shared machinery --------------------------------------------------
 
-  /// Everything begin() does before the data plane stages an iteration:
-  /// asserts no iteration is running, resets per-iteration counters,
-  /// performs persistent upkeep (engine reset / transparent reinstall /
-  /// migration check) and routes the iteration to the fallback data plane
-  /// when the fabric was lost for good.  Returns false in that last case —
-  /// the caller must not run the in-network path.  On true, state_ has
-  /// been adopted and the op is live.
-  bool begin_prologue(u64 seed, std::shared_ptr<OpState> state);
+  /// Sets the reduction blocks per iteration (and, from it, the window);
+  /// the codec calls this once from its constructor.
+  void set_blocks(u32 blocks);
+  /// Host h holds block b's result this iteration.
+  bool block_complete(u32 h, u32 b) const { return runs_[h].block_done[b]; }
+
+  net::Network& net_;
+  NetworkManager& manager_;
+  const std::vector<net::Host*>& participants_;
+  CollectiveOptions desc_;
+  core::AllreduceConfig cfg_;
+  ReductionTree tree_;
+  const u32 P_;
+  u32 nb_ = 0;  ///< reduction blocks per iteration
+
+ private:
+  /// One host's walk through the iteration's blocks, with the per-block
+  /// retry bookkeeping the watchdog reads.
+  struct HostRun {
+    std::vector<u32> schedule;  ///< send order (core::send_schedule)
+    std::size_t next = 0;       ///< next schedule slot to send
+    u32 outstanding = 0;        ///< sent blocks awaiting their result
+    u64 blocks_done = 0;
+    SimTime finish_ps = 0;
+    std::vector<bool> block_done;
+    std::vector<bool> sent;        ///< result still pending for a sent block
+    std::vector<SimTime> sent_ps;  ///< last (re)transmission time per block
+    std::vector<u32> retries;      ///< retransmissions per block this epoch
+  };
+
+  /// Wires every host's result handler, rewinds the schedules and sends
+  /// the first window — the shared tail of begin() and a restart.
+  void start_sends();
+  /// Sends host h's next schedule slots while the window has room.
+  void try_send(u32 h);
+  void on_down(u32 h, const core::Packet& pkt);
+  void finalize();
+  /// Replays the CURRENT iteration against a freshly installed tree
+  /// (engines are new: every host re-contributes every block;
+  /// already-delivered results are kept and their multicast duplicates
+  /// dropped on arrival).
+  void restart_iteration();
+  /// Stamps the op's retransmits, recoveries and migrations into `res`.
+  void stamp_counters(CollectiveResult& res) const;
 
   /// An iteration is executing (guards watchdog and fault-notice events).
   bool iteration_active() const { return !finished_ && state_ != nullptr; }
@@ -208,8 +250,9 @@ class TreeOpBase : public OpBase {
 
   /// Tree declared dead (`force` skips the liveness probe — progress
   /// stopped although the tree LOOKS healthy, e.g. a restarted switch).
-  /// Reinstall, or hand the iteration to the fallback data plane, or
-  /// schedule a bounded heal-wait; gives up past the wait budget.
+  /// Reinstall, or hand the iteration to the fallback data plane, or arm
+  /// the heal-wait poll (at most one per op); gives up past the wait
+  /// budget.
   void recover(bool force);
 
   /// Permanent outage: publish ok == false so callers observe the failure
@@ -217,25 +260,15 @@ class TreeOpBase : public OpBase {
   void give_up();
 
   void subscribe_faults();
+  void on_fault(const net::FaultNotice& notice);
   void arm_watchdog();
+  void on_watchdog();
 
-  /// The shared body of scan_timeouts(): walks every (host, block) whose
-  /// result is pending, applies the exponential backoff, re-sends timed-out
-  /// blocks via `resend(h, b)` with retransmits_/retry bookkeeping, and
-  /// returns true when some block exhausted max_retransmits (the caller's
-  /// signal to escalate into recover()).  One backoff policy for every
-  /// tree-backed data plane — tweak it here, not per engine.
-  bool scan_block_timeouts(
-      u32 hosts, u32 blocks,
-      const std::function<BlockRetryState&(u32 host)>& retry_of,
-      const std::function<bool(u32 host, u32 block)>& block_done,
-      const std::function<void(u32 host, u32 block)>& resend);
-
-  /// Completion-time bookkeeping; call from the concrete finalize with the
-  /// iteration's worst host completion.  Also closes the iteration span on
-  /// the tracer (the migration trigger itself no longer consumes this —
-  /// per-collective attribution replaced the regression gate).
-  void record_iteration_time(SimTime worst_ps);
+  /// One watchdog pass: walks every (host, block) whose result is pending,
+  /// applies the exponential backoff, re-sends timed-out blocks with
+  /// kFlagRetransmit, and returns true when some block exhausted
+  /// max_retransmits (the signal to escalate into recover()).
+  bool scan_block_timeouts();
 
   /// The network's tracer when this collective is traceable (nonzero trace
   /// id — the tracer's row key); nullptr otherwise.  Call-sites guard on
@@ -244,49 +277,6 @@ class TreeOpBase : public OpBase {
   /// Opens/closes the per-iteration span on the collective's row.
   void trace_iteration_begin();
   void trace_iteration_end();
-
-  net::Network& net_;
-  NetworkManager& manager_;
-  const std::vector<net::Host*>& participants_;
-  CollectiveOptions desc_;
-  core::AllreduceConfig cfg_;
-  ReductionTree tree_;
-  bool owns_install_;
-  /// This op owns the install's lifetime in both modes (one-shot releases
-  /// at finalize; persistent on PersistentCollective::release()); false
-  /// only after release or while a fault left the op treeless.
-  bool installed_ = true;
-  /// Sparse engines run at the sparse calibrated service rate and install
-  /// hash/array stores — the only dense/sparse asymmetry the base carries.
-  const bool sparse_;
-  bool finished_ = false;
-  u64 seed_ = 0;
-
-  // --- fault tolerance ---
-  /// Heal-wait budget for kinds with no host fallback: ~64 timeout periods
-  /// of continuous no-viable-tree before the op publishes a failed result.
-  static constexpr u32 kMaxRecoverWaits = 64;
-  SimTime timeout_ps_ = 0;
-  u32 max_retry_ = 4;
-  u32 recover_waits_ = 0;
-  /// Outlives-`this` guard for watchdog/listener events on the calendar.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
-  u64 retransmits_ = 0;
-  u32 recoveries_ = 0;
-
-  // --- congestion adaptation ---
-  net::CongestionMonitor* monitor_ = nullptr;
-  u32 migrations_iter_ = 0;   ///< while preparing the CURRENT iteration
-  u32 migrations_total_ = 0;  ///< over the op's lifetime
-  u32 planned_iter_ = 0;      ///< optimizer-planned, CURRENT iteration
-  u32 planned_total_ = 0;     ///< optimizer-planned, op lifetime
-
-  /// Host-side fallback data plane once no viable tree remains.
-  std::unique_ptr<OpBase> fallback_op_;
-
- private:
-  void on_fault(const net::FaultNotice& notice);
-  void on_watchdog();
 
   /// Persistent re-run upkeep: reset healthy engines, transparently
   /// reinstall a damaged tree, or probe a healed fabric to leave the
@@ -322,8 +312,52 @@ class TreeOpBase : public OpBase {
   /// install; false when no fallback applies.
   bool prepare_fallback();
   void start_fallback_iteration(u64 seed);
-  void begin_fallback_iteration(u64 seed, std::shared_ptr<OpState> state);
   void on_fallback_done();
+
+  bool owns_install_;
+  /// This op owns the install's lifetime in both modes (one-shot releases
+  /// at finalize; persistent on PersistentCollective::release()); false
+  /// only after release or while a fault left the op treeless.
+  bool installed_ = true;
+  /// Sparse engines run at the sparse calibrated service rate and install
+  /// hash/array stores — the only dense/sparse asymmetry the base carries.
+  const bool sparse_;
+  bool finished_ = false;
+  u64 seed_ = 0;
+
+  // --- block pipeline ---
+  u32 window_ = 0;  ///< blocks a host may have awaiting results
+  std::vector<HostRun> runs_;
+  u32 hosts_done_ = 0;
+  SimTime start_ps_ = 0;
+  u64 base_traffic_ = 0;
+
+  // --- fault tolerance ---
+  /// Heal-wait budget for kinds with no host fallback: ~64 timeout periods
+  /// of continuous no-viable-tree before the op publishes a failed result.
+  static constexpr u32 kMaxRecoverWaits = 64;
+  SimTime timeout_ps_ = 0;
+  u32 max_retry_ = 4;
+  u32 recover_waits_ = 0;
+  /// A heal-wait poll is on the calendar.  The watchdog escalates into
+  /// recover() every period; without this each escalation would start one
+  /// more self-rescheduling poll chain and burn the wait budget k-fold.
+  bool heal_poll_armed_ = false;
+  /// Outlives-`this` guard for watchdog/listener events on the calendar.
+  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  u64 retransmits_ = 0;
+  u32 recoveries_ = 0;
+
+  // --- congestion adaptation ---
+  net::CongestionMonitor* monitor_ = nullptr;
+  u32 migrations_iter_ = 0;   ///< while preparing the CURRENT iteration
+  u32 migrations_total_ = 0;  ///< over the op's lifetime
+  u32 planned_iter_ = 0;      ///< optimizer-planned, CURRENT iteration
+  u32 planned_total_ = 0;     ///< optimizer-planned, op lifetime
+
+  /// Host-side fallback data plane once no viable tree remains.
+  std::unique_ptr<OpBase> fallback_op_;
+  std::shared_ptr<OpState> fallback_state_;
 
   /// Re-embedding staged by plan_migration(), consumed at the next
   /// iteration boundary by apply_planned_migration().
@@ -337,9 +371,6 @@ class TreeOpBase : public OpBase {
   u64 fault_listener_ = 0;
   bool listening_ = false;
   bool watchdog_armed_ = false;
-  SimTime last_iter_ps_ = 0;  ///< completion of the previous iteration
-  SimTime best_iter_ps_ = 0;  ///< fastest iteration so far
-  std::shared_ptr<OpState> fallback_state_;
 };
 
 

@@ -46,9 +46,8 @@ enum class Algorithm : u8 {
 
 std::string_view algorithm_name(Algorithm a);
 
-/// Tuning fields shared by every scheme — formerly re-declared by
-/// FlareDenseOptions, BroadcastOptions, BarrierOptions and the service's
-/// JobSpec.  The legacy option structs now inherit this block.
+/// Tuning fields shared by every scheme; CollectiveOptions inherits this
+/// block, so one descriptor carries them for every kind and algorithm.
 struct Tuning {
   u64 packet_payload = 1024;  ///< in-network block size (bytes)
   /// Aggregation service rate per switch; calibrated against the PsPIN

@@ -69,8 +69,6 @@ AllreduceService::~AllreduceService() {
 coll::CollectiveOptions AllreduceService::descriptor_for(
     const JobSpec& spec) const {
   coll::CollectiveOptions desc = spec.desc;
-  // The service calibrates the fabric-wide aggregation rate centrally.
-  desc.switch_service_bps = opt_.switch_service_bps;
   if (opt_.retransmit_timeout_ps > 0) {
     desc.retransmit_timeout_ps = opt_.retransmit_timeout_ps;
     desc.max_retransmits = opt_.max_retransmits;

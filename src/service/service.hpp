@@ -53,8 +53,6 @@ struct ServiceOptions {
   /// When false, jobs that cannot run in-network are rejected instead of
   /// falling back to the host ring.
   bool fallback_to_host = true;
-  /// Calibrated per-switch aggregation rate (see FlareDenseOptions).
-  f64 switch_service_bps = 2.4e12;
   std::size_t tree_cache_capacity = 64;
   /// Host-side fault tolerance applied to every job this service runs
   /// (see coll::Tuning::retransmit_timeout_ps).  0 leaves each job's own

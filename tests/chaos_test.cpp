@@ -431,6 +431,68 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == Algorithm::kSparcml ? "Sparcml" : "HostRing";
     });
 
+// ------------------------------------------------ no-fallback heal-wait ----
+// Kinds with no host fallback (dense broadcast; sparse allreduce on a
+// non-power-of-two group, which SparCML cannot serve) wait for the fabric
+// to heal.  The wait budget is ~64 timeout periods however often the
+// watchdog re-escalates: an outage healed well inside it completes, one
+// that never heals reports failure, and neither leaks switch state.
+
+enum class NoFallbackKind { kDenseBroadcast, kSparseAllreduce };
+
+class NoFallbackHealWait : public ::testing::TestWithParam<NoFallbackKind> {
+ protected:
+  /// The only switch of a single-switch fabric fails at 1 us and, when
+  /// `restart_at` is nonzero, comes back then.
+  coll::CollectiveResult run_outage(net::Network& net, SimTime restart_at) {
+    const bool sparse = GetParam() == NoFallbackKind::kSparseAllreduce;
+    auto topo = net::build_single_switch(net, sparse ? 6 : 4);
+    net::Switch* sw = topo.leaves[0];
+    net.sim().schedule_at(1 * kPsPerUs, [sw] { sw->fail(); });
+    if (restart_at != 0) {
+      net.sim().schedule_at(restart_at, [sw] { sw->restart(); });
+    }
+    CollectiveOptions desc = sparse ? sparse_fault_desc()
+                                    : fault_tolerant_desc(8_KiB);
+    if (!sparse) desc.kind = CollectiveKind::kBroadcast;
+    Communicator comm(net, topo.hosts);
+    return comm.run(desc);
+  }
+};
+
+TEST_P(NoFallbackHealWait, OutageHealedInsideBudgetCompletesBitExact) {
+  net::Network net;
+  const auto res = run_outage(net, 100 * kPsPerUs);
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.max_abs_err, 0.0);
+  EXPECT_TRUE(res.in_network);
+  EXPECT_FALSE(res.fell_back);
+  EXPECT_GE(res.recoveries, 1u);
+  expect_no_leaked_occupancy(net);
+  expect_no_leaked_hash_store(net);
+}
+
+TEST_P(NoFallbackHealWait, OutageThatNeverHealsReportsFailure) {
+  net::Network net;
+  const auto res = run_outage(net, 0);
+  EXPECT_FALSE(res.ok);
+  // It waited out the whole budget first: 64 heal-wait polls of one 3 us
+  // timeout period each, after the fault at 1 us.
+  EXPECT_GE(net.sim().now(), (1 + 64 * 3) * kPsPerUs);
+  expect_no_leaked_occupancy(net);
+  expect_no_leaked_hash_store(net);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, NoFallbackHealWait,
+    ::testing::Values(NoFallbackKind::kDenseBroadcast,
+                      NoFallbackKind::kSparseAllreduce),
+    [](const ::testing::TestParamInfo<NoFallbackKind>& info) {
+      return info.param == NoFallbackKind::kSparseAllreduce
+                 ? "SparseAllreduce6"
+                 : "DenseBroadcast4";
+    });
+
 /// Seeded sparse chaos runs, mirroring the dense sweep: every schedule
 /// completes bit-for-bit and replays identically.
 ChaosOutcome run_sparse_chaos(u64 seed) {

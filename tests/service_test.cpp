@@ -349,6 +349,39 @@ TEST(ServiceSparse, SparseJobRunsInNetworkWithCounters) {
   }
 }
 
+/// Aggregation rate of the one reduction installed on `sw`.  Collective
+/// ids are handed out densely, so every live id is below the next one.
+f64 sole_role_service_bps(net::Network& net, net::Switch* sw) {
+  const u32 end = net.alloc_collective_id();
+  const net::ReduceRole* found = nullptr;
+  for (u32 id = 0; id < end; ++id) {
+    if (const net::ReduceRole* role = sw->role(id)) {
+      EXPECT_EQ(found, nullptr) << "more than one reduction installed";
+      found = role;
+    }
+  }
+  return found != nullptr ? found->service_bps : 0.0;
+}
+
+TEST(ServiceSparse, TenantDescriptorDecidesSwitchServiceRate) {
+  // The tenant's descriptor decides the aggregation rate: a job that
+  // leaves switch_service_bps at its 0 sentinel gets the calibrated rate
+  // of its engine — sparse aggregation is slower (Figure 13).
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse job" : "dense job");
+    net::Network net;
+    auto topo = net::build_single_switch(net, 8);
+    AllreduceService svc(net, {});
+    const u32 job = svc.submit(sparse ? make_sparse_job(topo.hosts, 11)
+                                      : make_job(topo.hosts));
+    EXPECT_EQ(sole_role_service_bps(net, topo.leaves[0]),
+              sparse ? coll::kSparseSwitchServiceBps
+                     : coll::kDenseSwitchServiceBps);
+    net.sim().run();
+    EXPECT_TRUE(svc.records()[job].exact);
+  }
+}
+
 TEST(ServiceSparse, InadmissibleSparseJobFallsBackToSparcml) {
   // Zero switch partitions: the sparse job can never run in-network; the
   // service's host fallback for sparse is SparCML (not the dense ring).
