@@ -1,11 +1,8 @@
 #include "coll/manager.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
 #include <limits>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "coll/tree_cache.hpp"
 #include "common/assert.hpp"
@@ -27,200 +24,258 @@ bool tree_alive(const net::Network& net, const ReductionTree& tree) {
   return !tree.switches.empty();
 }
 
-std::optional<ReductionTree> NetworkManager::compute_tree(
-    const std::vector<net::Host*>& participants, net::NodeId root) {
+void NetworkManager::ensure_graph() {
   const u32 n = net_.num_nodes();
+  if (n == graph_nodes_ && net_.num_links() == graph_links_) return;
+  graph_nodes_ = n;
+  graph_links_ = net_.num_links();
+
+  const std::vector<net::Switch*>& sws = net_.switches();
+  const u32 s = static_cast<u32>(sws.size());
+  sw_.assign(sws.begin(), sws.end());
+  slot_of_.assign(n, UINT32_MAX);
+  for (u32 i = 0; i < s; ++i) slot_of_[sws[i]->id()] = i;
+  const auto first_port_toward = [this](net::NodeId from, net::NodeId to) {
+    for (const net::PortPeer& pp : net_.neighbors(from)) {
+      if (pp.peer == to) return pp.my_port;
+    }
+    return UINT32_MAX;
+  };
+
+  arc_begin_.assign(1, 0);
+  arcs_.clear();
+  for (const net::Switch* sw : sws) {
+    for (const net::PortPeer& pp : net_.neighbors(sw->id())) {
+      const u32 peer = slot_of_[pp.peer];
+      if (peer == UINT32_MAX) continue;  // hosts are not part of the search
+      arcs_.push_back({peer, pp.my_port, first_port_toward(pp.peer, sw->id()),
+                       &sw->port(pp.my_port), sws[peer]});
+    }
+    arc_begin_.push_back(static_cast<u32>(arcs_.size()));
+  }
+
+  access_.assign(net_.hosts().size(), Access{});
+  for (const net::Host* host : net_.hosts()) {
+    Access& a = access_[host->host_index()];
+    const std::vector<net::PortPeer>& adj = net_.neighbors(host->id());
+    a.single_homed = adj.size() == 1;
+    if (!a.single_homed || slot_of_[adj[0].peer] == UINT32_MAX) continue;
+    a.leaf = slot_of_[adj[0].peer];
+    a.leaf_port = first_port_toward(adj[0].peer, host->id());
+    a.up = &host->port(adj[0].my_port);
+    a.down = &sws[a.leaf]->port(a.leaf_port);
+  }
+
+  cost_mark_.assign(graph_links_, 0);
+  cost_val_.assign(graph_links_, 0.0);
+  cost_epoch_ = 0;
+  hosts_at_.assign(s, {});
+  leaves_.clear();
+  dist_.assign(s, 0);
+  path_cost_.assign(s, 0.0);
+  pred_.assign(s, UINT32_MAX);
+  pred_port_.assign(s, UINT32_MAX);
+  child_index_.assign(s, 0);
+  needed_.assign(s, 0);
+  queued_.assign(s, 0);
+  stamp_ = 0;
+}
+
+bool NetworkManager::begin_call(const std::vector<net::Host*>& participants) {
   FLARE_ASSERT(!participants.empty());
+  ensure_graph();
+  if (++cost_epoch_ == 0) {  // wrapped: no mark may look current
+    std::fill(cost_mark_.begin(), cost_mark_.end(), 0);
+    cost_epoch_ = 1;
+  }
+  for (const u32 leaf : leaves_) hosts_at_[leaf].clear();
+  leaves_.clear();
+  for (const net::Host* host : participants) {
+    const Access& a = access_[host->host_index()];
+    FLARE_ASSERT_MSG(a.single_homed, "hosts must be single-homed");
+    // The access link must carry traffic both ways for the host to join
+    // (Network::port_usable on the host's port).
+    if (a.leaf == UINT32_MAX || !a.up->up() || !a.up->reverse()->up() ||
+        sw_[a.leaf]->failed()) {
+      return false;
+    }
+    if (hosts_at_[a.leaf].empty()) leaves_.push_back(a.leaf);
+    hosts_at_[a.leaf].push_back(host);
+  }
+  return true;
+}
 
-  // Shortest paths over switches only (hosts hang off their single access
-  // switch): plain BFS under unit hop costs, Dijkstra when a link-cost
-  // provider is set — congested edges become long and the tree routes
-  // around them.  `dist` counts hops either way (it is the tree DEPTH,
-  // which sizes the aggregation pipeline); `cost` carries the provider
-  // metric the predecessor choice minimizes.
-  std::vector<u32> dist(n, std::numeric_limits<u32>::max());
-  std::vector<f64> cost(n, std::numeric_limits<f64>::infinity());
-  std::vector<net::NodeId> pred(n, net::kInvalidNode);
-  std::vector<u32> pred_port(n, UINT32_MAX);  // port on THIS node -> parent
-  dist[root] = 0;
-  cost[root] = 0.0;
-  std::unordered_map<net::NodeId, net::Switch*> switch_by_id;
-  for (net::Switch* sw : net_.switches()) switch_by_id[sw->id()] = sw;
-  if (!switch_by_id.contains(root)) return std::nullopt;
+f64 NetworkManager::edge_cost(u32 slot, u32 port, const net::Link* out) {
+  if (!link_cost_) return 1.0;
+  const u32 i = out->index();
+  if (cost_mark_[i] != cost_epoch_) {
+    cost_mark_[i] = cost_epoch_;
+    cost_val_[i] = link_cost_(sw_[slot]->id(), port);
+  }
+  return cost_val_[i];
+}
+
+bool NetworkManager::search(u32 root) {
   // Fault awareness: a failed root can host nothing, and the search must
-  // not route the tree across failed switches or down links (port_usable
-  // below covers both the duplex link state and peer liveness).
-  if (switch_by_id.at(root)->failed()) return std::nullopt;
+  // not route the tree across failed switches or down links.
+  if (sw_[root]->failed()) return false;
+  constexpr u32 kUnreached = std::numeric_limits<u32>::max();
+  std::fill(dist_.begin(), dist_.end(), kUnreached);
+  std::fill(path_cost_.begin(), path_cost_.end(),
+            std::numeric_limits<f64>::infinity());
+  std::fill(pred_.begin(), pred_.end(), UINT32_MAX);
+  dist_[root] = 0;
+  path_cost_[root] = 0.0;
+  // An arc is usable when its duplex link is up both ways and the peer is
+  // alive (Network::port_usable without the adjacency scan).
+  const auto usable = [](const Arc& arc) {
+    return arc.out->up() && arc.out->reverse()->up() && !arc.peer_sw->failed();
+  };
 
+  // `dist` counts hops either way (it is the tree DEPTH, which sizes the
+  // aggregation pipeline); `cost` carries the provider metric the
+  // predecessor choice minimizes.
   if (!link_cost_) {
-    std::deque<net::NodeId> frontier{root};
-    while (!frontier.empty()) {
-      const net::NodeId cur = frontier.front();
-      frontier.pop_front();
-      for (const net::PortPeer& pp : net_.neighbors(cur)) {
-        if (!switch_by_id.contains(pp.peer)) continue;  // skip hosts
-        if (dist[pp.peer] != std::numeric_limits<u32>::max()) continue;
-        if (!net_.port_usable(cur, pp.my_port)) continue;  // dead edge/peer
-        dist[pp.peer] = dist[cur] + 1;
-        cost[pp.peer] = cost[cur] + 1.0;
-        pred[pp.peer] = cur;
-        // Find the peer's port toward cur.
-        for (const net::PortPeer& back : net_.neighbors(pp.peer)) {
-          if (back.peer == cur) {
-            pred_port[pp.peer] = back.my_port;
-            break;
-          }
-        }
-        frontier.push_back(pp.peer);
+    queue_.assign(1, root);
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+      const u32 cur = queue_[head];
+      for (u32 k = arc_begin_[cur]; k < arc_begin_[cur + 1]; ++k) {
+        const Arc& arc = arcs_[k];
+        if (dist_[arc.peer] != kUnreached || !usable(arc)) continue;
+        dist_[arc.peer] = dist_[cur] + 1;
+        pred_[arc.peer] = cur;
+        pred_port_[arc.peer] = arc.back_port;
+        queue_.push_back(arc.peer);
       }
     }
   } else {
-    // Dijkstra with a deterministic (cost, node-id) order; ties keep the
-    // first predecessor found, so equal-cost fabrics embed identically on
-    // every run.
-    std::set<std::pair<f64, net::NodeId>> frontier{{0.0, root}};
-    while (!frontier.empty()) {
-      const auto [ccost, cur] = *frontier.begin();
-      frontier.erase(frontier.begin());
-      if (ccost > cost[cur]) continue;  // stale entry
-      for (const net::PortPeer& pp : net_.neighbors(cur)) {
-        if (!switch_by_id.contains(pp.peer)) continue;  // skip hosts
-        if (!net_.port_usable(cur, pp.my_port)) continue;
-        const f64 ncost = cost[cur] + link_cost_(cur, pp.my_port);
-        if (ncost >= cost[pp.peer]) continue;
-        frontier.erase({cost[pp.peer], pp.peer});
-        cost[pp.peer] = ncost;
-        dist[pp.peer] = dist[cur] + 1;
-        pred[pp.peer] = cur;
-        for (const net::PortPeer& back : net_.neighbors(pp.peer)) {
-          if (back.peer == cur) {
-            pred_port[pp.peer] = back.my_port;
-            break;
-          }
-        }
-        frontier.insert({ncost, pp.peer});
+    // Dijkstra in (cost, node-id) order — slots ascend with node ids — on
+    // a binary heap with lazy deletion: an entry above its node's current
+    // cost is stale.  Only a strictly cheaper path replaces a predecessor,
+    // so equal-cost fabrics embed identically on every run.
+    heap_.assign(1, {0.0, root});
+    const std::greater<std::pair<f64, u32>> later;
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), later);
+      const auto [ccost, cur] = heap_.back();
+      heap_.pop_back();
+      if (ccost > path_cost_[cur]) continue;
+      for (u32 k = arc_begin_[cur]; k < arc_begin_[cur + 1]; ++k) {
+        const Arc& arc = arcs_[k];
+        if (!usable(arc)) continue;
+        const f64 ncost =
+            path_cost_[cur] + edge_cost(cur, arc.my_port, arc.out);
+        if (ncost >= path_cost_[arc.peer]) continue;
+        path_cost_[arc.peer] = ncost;
+        dist_[arc.peer] = dist_[cur] + 1;
+        pred_[arc.peer] = cur;
+        pred_port_[arc.peer] = arc.back_port;
+        heap_.emplace_back(ncost, arc.peer);
+        std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
   }
 
-  // Each participant attaches to its single access switch.
-  std::vector<std::vector<net::Host*>> hosts_of(n);
-  for (net::Host* host : participants) {
-    const auto& adj = net_.neighbors(host->id());
-    FLARE_ASSERT_MSG(adj.size() == 1, "hosts must be single-homed");
-    const net::NodeId leaf = adj[0].peer;
-    if (dist[leaf] == std::numeric_limits<u32>::max()) return std::nullopt;
-    // The access link must carry traffic both ways for the host to join.
-    if (!net_.port_usable(host->id(), adj[0].my_port)) return std::nullopt;
-    hosts_of[leaf].push_back(host);
+  // A switch is needed if participant hosts sit below it in the tree.
+  if (++stamp_ == 0) {  // wrapped: no mark may look current
+    std::fill(needed_.begin(), needed_.end(), 0);
+    std::fill(queued_.begin(), queued_.end(), 0);
+    stamp_ = 1;
   }
-
-  // A switch is needed if it has participant hosts below it in the BFS tree.
-  std::vector<bool> needed(n, false);
-  for (net::NodeId id = 0; id < n; ++id) {
-    if (hosts_of[id].empty()) continue;
-    net::NodeId cur = id;
-    while (cur != net::kInvalidNode && !needed[cur]) {
-      needed[cur] = true;
-      cur = pred[cur];
+  for (const u32 leaf : leaves_) {
+    if (dist_[leaf] == kUnreached) return false;
+    for (u32 cur = leaf; cur != UINT32_MAX && needed_[cur] != stamp_;
+         cur = pred_[cur]) {
+      needed_[cur] = stamp_;
     }
   }
-  if (!needed[root]) return std::nullopt;
+  return needed_[root] == stamp_;
+}
 
-  // Emit entries in BFS order (root first) and wire up children.
-  ReductionTree tree;
-  tree.root = root;
-  std::vector<net::NodeId> order;
-  std::unordered_map<net::NodeId, u32> entry_of;
-  {
-    std::deque<net::NodeId> q{root};
-    while (!q.empty()) {
-      const net::NodeId cur = q.front();
-      q.pop_front();
-      if (!needed[cur]) continue;
-      entry_of[cur] = static_cast<u32>(order.size());
-      order.push_back(cur);
-      // Children switches = needed switches whose BFS predecessor is cur.
-      // Parallel links (common in small fat trees) would enumerate a child
-      // several times — deduplicate.
-      std::unordered_set<net::NodeId> seen;
-      for (const net::PortPeer& pp : net_.neighbors(cur)) {
-        if (switch_by_id.contains(pp.peer) && pred[pp.peer] == cur &&
-            needed[pp.peer] && seen.insert(pp.peer).second) {
-          q.push_back(pp.peer);
-        }
+f64 NetworkManager::walk(u32 root, ReductionTree* tree) {
+  // Entries in BFS order (root first).  Per switch: participant hosts
+  // first, then needed child switches — those whose predecessor is this
+  // switch, at their first arc (parallel links would list them twice).
+  // The cost sums every tree edge once, child links only (parent links
+  // are the same edges seen from below), in exactly this order.
+  f64 total = 0.0;
+  queue_.assign(1, root);
+  queued_[root] = stamp_;
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const u32 cur = queue_[head];
+    TreeSwitchEntry* e = nullptr;
+    if (tree != nullptr) {
+      e = &tree->switches.emplace_back();
+      e->sw = sw_[cur];
+      e->depth = dist_[cur];
+      tree->max_depth = std::max(tree->max_depth, e->depth);
+      if (cur != root) {
+        e->parent_port = pred_port_[cur];
+        e->child_index_at_parent = child_index_[cur];
       }
     }
-  }
-
-  tree.host_child_index.assign(net_.hosts().size(), 0);
-  tree.switches.resize(order.size());
-  for (u32 i = 0; i < order.size(); ++i) {
-    const net::NodeId id = order[i];
-    TreeSwitchEntry& e = tree.switches[i];
-    e.sw = switch_by_id.at(id);
-    e.depth = dist[id];
-    tree.max_depth = std::max(tree.max_depth, e.depth);
-    if (id != root) e.parent_port = pred_port[id];
-
-    // Children: participant hosts first, then needed child switches.
     u16 next_index = 0;
-    for (net::Host* host : hosts_of[id]) {
-      for (const net::PortPeer& pp : net_.neighbors(id)) {
-        if (pp.peer == host->id()) {
-          e.child_ports.push_back(pp.my_port);
-          break;
-        }
+    for (const net::Host* host : hosts_at_[cur]) {
+      const Access& a = access_[host->host_index()];
+      total += edge_cost(cur, a.leaf_port, a.down);
+      if (e != nullptr) {
+        e->child_ports.push_back(a.leaf_port);
+        tree->host_child_index[host->host_index()] = next_index;
       }
-      tree.host_child_index[host->host_index()] = next_index++;
+      ++next_index;
     }
-    std::unordered_set<net::NodeId> seen_children;
-    for (const net::PortPeer& pp : net_.neighbors(id)) {
-      if (switch_by_id.contains(pp.peer) && pred[pp.peer] == id &&
-          needed[pp.peer] && seen_children.insert(pp.peer).second) {
-        e.child_ports.push_back(pp.my_port);
-        // The child switch will learn its index below (after all entries
-        // exist).
-        next_index++;
-      }
-    }
-    e.num_children = next_index;
-  }
-  // Second pass: assign each non-root switch its child index at the parent.
-  for (u32 i = 1; i < order.size(); ++i) {
-    const net::NodeId id = order[i];
-    const net::NodeId parent = pred[id];
-    // Index = number of host children + position among switch children
-    // (same dedup rule as the child_ports construction above).
-    u16 idx = static_cast<u16>(hosts_of[parent].size());
-    std::unordered_set<net::NodeId> seen_children;
-    bool found = false;
-    for (const net::PortPeer& pp : net_.neighbors(parent)) {
-      if (!switch_by_id.contains(pp.peer) || pred[pp.peer] != parent ||
-          !needed[pp.peer] || !seen_children.insert(pp.peer).second) {
+    for (u32 k = arc_begin_[cur]; k < arc_begin_[cur + 1]; ++k) {
+      const Arc& arc = arcs_[k];
+      if (pred_[arc.peer] != cur || needed_[arc.peer] != stamp_ ||
+          queued_[arc.peer] == stamp_) {
         continue;
       }
-      if (pp.peer == id) {
-        found = true;
-        break;
-      }
-      ++idx;
+      queued_[arc.peer] = stamp_;
+      total += edge_cost(cur, arc.my_port, arc.out);
+      if (e != nullptr) e->child_ports.push_back(arc.my_port);
+      child_index_[arc.peer] = next_index++;
+      queue_.push_back(arc.peer);
     }
-    FLARE_ASSERT(found);
-    tree.switches[i].child_index_at_parent = idx;
+    if (e != nullptr) e->num_children = next_index;
   }
-  tree.cost = tree_cost(tree);
+  return total;
+}
+
+ReductionTree NetworkManager::build(u32 root) {
+  ReductionTree tree;
+  tree.root = sw_[root]->id();
+  tree.host_child_index.assign(net_.hosts().size(), 0);
+  tree.cost = walk(root, &tree);
   return tree;
 }
 
-f64 NetworkManager::tree_cost(const ReductionTree& tree) const {
-  // Every tree edge exactly once: each switch's child links (hosts and
-  // child switches — the parent links are the same edges seen from below).
-  f64 total = 0.0;
-  for (const TreeSwitchEntry& e : tree.switches) {
-    for (const u32 p : e.child_ports) total += edge_cost(e.sw->id(), p);
+std::optional<ReductionTree> NetworkManager::compute_tree(
+    const std::vector<net::Host*>& participants, net::NodeId root) {
+  if (!begin_call(participants)) return std::nullopt;
+  const u32 slot = root < slot_of_.size() ? slot_of_[root] : UINT32_MAX;
+  if (slot == UINT32_MAX || !search(slot)) return std::nullopt;
+  return build(slot);
+}
+
+std::optional<ReductionTree> NetworkManager::cheapest_tree(
+    const std::vector<net::Host*>& participants) {
+  if (!begin_call(participants)) return std::nullopt;
+  // Score every root without building its tree; only the winner is
+  // searched again and built (same cost table, so the same cost bit for
+  // bit).
+  u32 best = UINT32_MAX;
+  f64 best_cost = 0.0;
+  for (u32 slot = 0; slot < sw_.size(); ++slot) {
+    if (!search(slot)) continue;
+    const f64 c = walk(slot, nullptr);
+    if (best == UINT32_MAX || c < best_cost) {
+      best = slot;
+      best_cost = c;
+    }
   }
-  return total;
+  if (best == UINT32_MAX) return std::nullopt;
+  search(best);
+  return build(best);
 }
 
 f64 tree_max_congestion(const net::CongestionMonitor& monitor,
@@ -337,9 +392,10 @@ InstallReport NetworkManager::install_with_retry(
   // congested spine (Canary's placement result) — with size/depth/root as
   // deterministic tie-breaks.
   std::vector<ReductionTree> candidates;
-  for (net::Switch* candidate : net_.switches()) {
-    auto tree = compute_tree(participants, candidate->id());
-    if (tree) candidates.push_back(std::move(*tree));
+  if (begin_call(participants)) {
+    for (u32 slot = 0; slot < sw_.size(); ++slot) {
+      if (search(slot)) candidates.push_back(build(slot));
+    }
   }
   if (link_cost_) {
     std::sort(candidates.begin(), candidates.end(),

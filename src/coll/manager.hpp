@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -98,20 +99,32 @@ class NetworkManager {
   /// (the default) keeps unit hop costs — plain shortest-hop BFS.  Wire a
   /// CongestionMonitor's edge_cost here and compute_tree routes trees
   /// around congested links, while install_with_retry prefers the
-  /// cheapest (least-congested) embedding over the smallest.
+  /// cheapest (least-congested) embedding over the smallest.  The
+  /// provider must be a pure function of (node, port) for the duration of
+  /// one embedding call: each call evaluates it at most once per
+  /// (switch, port) and reuses the value for the search and the tree cost.
   using LinkCostFn = std::function<f64(net::NodeId node, u32 port)>;
   void set_link_cost(LinkCostFn cost) { link_cost_ = std::move(cost); }
   const LinkCostFn& link_cost() const { return link_cost_; }
 
-  /// Re-scores an existing tree under the CURRENT provider (a tree's
-  /// stored cost reflects the congestion at compute time; migration
-  /// decisions need today's number).
-  f64 tree_cost(const ReductionTree& tree) const;
-
-  /// Builds the BFS reduction tree rooted at `root` spanning `participants`.
-  /// Returns nullopt if some participant is unreachable from the root.
+  /// Builds the reduction tree rooted at `root` spanning `participants`:
+  /// shortest paths over the switches (hosts hang off their single access
+  /// switch) by BFS under unit hop costs, by Dijkstra when a link-cost
+  /// provider is set; a switch joins when a participant sits below it.
+  /// Returns nullopt if `root` is not a live switch or some participant is
+  /// unreachable from it.  The switch graph the search runs on is cached
+  /// on the first embedding and rebuilt whenever the network's node or
+  /// link count changes (topologies only grow); link and switch liveness
+  /// is read live on every call.
   std::optional<ReductionTree> compute_tree(
       const std::vector<net::Host*>& participants, net::NodeId root);
+
+  /// The cheapest compute_tree over every switch as root, nullopt when no
+  /// root spans the participants.  Ties keep the root that comes first in
+  /// net.switches() order (strict less).  The provider is evaluated at most
+  /// once per (switch, port) for the whole sweep.
+  std::optional<ReductionTree> cheapest_tree(
+      const std::vector<net::Host*>& participants);
 
   /// Installs `cfg` on every tree switch.  For sparse allreduces the root
   /// switch uses array storage and the others hash storage (Section 7,
@@ -122,8 +135,9 @@ class NetworkManager {
   void uninstall(const ReductionTree& tree, u32 allreduce_id);
 
   /// compute_tree + install, preferring the smallest (then shallowest)
-  /// embedding and retrying every switch as root until one admission
-  /// succeeds.
+  /// embedding — the cheapest under a provider — and retrying every switch
+  /// as root until one admission succeeds.  All candidates share one
+  /// edge-cost table.
   InstallReport install_with_retry(
       const std::vector<net::Host*>& participants, core::AllreduceConfig cfg,
       f64 switch_service_bps);
@@ -146,13 +160,77 @@ class NetworkManager {
   }
 
  private:
-  f64 edge_cost(net::NodeId node, u32 port) const {
-    return link_cost_ ? link_cost_(node, port) : 1.0;
-  }
+  /// One switch-to-switch arc of the cached switch graph, in the order
+  /// Network::neighbors lists it (parallel links included, usable or not:
+  /// the tree wires the FIRST arc toward a child, as the adjacency does).
+  struct Arc {
+    u32 peer = 0;                  ///< switch slot of the peer
+    u32 my_port = 0;
+    /// The peer's FIRST port toward this switch — a child's parent_port.
+    u32 back_port = 0;
+    const net::Link* out = nullptr;
+    const net::Switch* peer_sw = nullptr;
+  };
+  /// A host's single access link, by host_index.
+  struct Access {
+    u32 leaf = UINT32_MAX;        ///< switch slot; UINT32_MAX: not a switch
+    u32 leaf_port = 0;            ///< leaf's first port toward the host
+    const net::Link* up = nullptr;    ///< host -> leaf
+    const net::Link* down = nullptr;  ///< leaf -> host
+    bool single_homed = false;
+  };
+
+  /// Switch-only adjacency in CSR form, slot = position in
+  /// net.switches() (ascending node id).  Built on the first embedding and
+  /// rebuilt when the node or link count changes; link and switch STATE is
+  /// read live, so faults never invalidate it.
+  void ensure_graph();
+  /// Starts one embedding call: a fresh edge-cost table and the
+  /// participants grouped under their access switches.  False when some
+  /// participant's access link cannot carry traffic (no root can span).
+  bool begin_call(const std::vector<net::Host*>& participants);
+  /// Provider cost of the duplex link behind `out` (leaving switch `slot`
+  /// through `port`), evaluated at most once per call.
+  f64 edge_cost(u32 slot, u32 port, const net::Link* out);
+  /// Shortest-path search from `root` plus the needed-switch marking;
+  /// false when `root` cannot host a tree spanning the participants.
+  bool search(u32 root);
+  /// Walks the searched tree in BFS order (root first; per switch, host
+  /// children then child switches) summing its edge costs in exactly that
+  /// order, and fills `tree` when non-null.
+  f64 walk(u32 root, ReductionTree* tree);
+  ReductionTree build(u32 root);
 
   net::Network& net_;
   ReleaseListener on_release_;
   LinkCostFn link_cost_;
+
+  // Cached switch graph.
+  u32 graph_nodes_ = 0;
+  u32 graph_links_ = 0;
+  std::vector<net::Switch*> sw_;          ///< by slot
+  std::vector<u32> slot_of_;              ///< by node id; UINT32_MAX: host
+  std::vector<u32> arc_begin_;            ///< by slot, size S + 1
+  std::vector<Arc> arcs_;
+  std::vector<Access> access_;
+
+  // Per-call workspace.
+  u32 cost_epoch_ = 0;
+  std::vector<u32> cost_mark_;            ///< by link index
+  std::vector<f64> cost_val_;             ///< by link index
+  std::vector<std::vector<const net::Host*>> hosts_at_;  ///< by slot
+  std::vector<u32> leaves_;               ///< slots with participants
+  // Per-root workspace.
+  std::vector<u32> dist_;
+  std::vector<f64> path_cost_;
+  std::vector<u32> pred_;                 ///< slot; UINT32_MAX at the root
+  std::vector<u32> pred_port_;
+  std::vector<std::pair<f64, u32>> heap_;
+  std::vector<u32> queue_;
+  std::vector<u16> child_index_;
+  u32 stamp_ = 0;
+  std::vector<u32> needed_;               ///< == stamp_: on the tree
+  std::vector<u32> queued_;               ///< == stamp_: emitted by walk
 };
 
 }  // namespace flare::coll

@@ -46,44 +46,39 @@ struct PlacementOptimizer::State {
 PlacementOptimizer::PlacementOptimizer(net::Network& net, OptimizerOptions opt)
     : net_(net), opt_(opt), manager_(net) {
   manager_.set_link_cost([this](net::NodeId node, u32 port) {
-    // Worst frozen load across both directions of the duplex edge behind
-    // (node, port), minus the moving job's own contribution — the offline
-    // analogue of CongestionMonitor::edge_cost over
-    // edge_congestion_excluding.
-    f64 worst = 0.0;
+    // Worst frozen heat across both directions of the duplex edge behind
+    // (node, port) — the offline analogue of CongestionMonitor::edge_cost
+    // over edge_congestion_excluding.  Links added after the freeze carry
+    // none.
     net::Link* const fwd = &net_.node(node).port(port);
+    f64 worst = 0.0;
     for (const net::Link* link : {fwd, fwd->reverse()}) {
-      if (link == nullptr) continue;
-      const u32 i = cost_snap_->link_index(link);
-      if (i == UINT32_MAX) continue;
-      f64 heat = (*cost_load_)[i];
-      if (std::binary_search(cost_exclude_links_->begin(),
-                             cost_exclude_links_->end(), i)) {
-        heat -= cost_exclude_weight_;
+      if (link != nullptr && link->index() < heat_.size()) {
+        worst = std::max(worst, heat_[link->index()]);
       }
-      worst = std::max(worst, std::max(0.0, heat));
     }
     return 1.0 + kUtilWeight * worst;
   });
 }
 
+void PlacementOptimizer::set_heat(const std::vector<f64>& load,
+                                  const std::vector<u32>& exclude_links,
+                                  f64 exclude_weight) {
+  heat_ = load;
+  for (const u32 l : exclude_links) heat_[l] -= exclude_weight;
+  for (f64& h : heat_) h = std::max(0.0, h);
+}
+
 std::optional<coll::ReductionTree> PlacementOptimizer::tree_for(
     const CostSnapshot& snap, State& st, u32 j, net::NodeId root) {
-  cost_snap_ = &snap;
-  cost_load_ = &st.load;
-  cost_exclude_links_ = &st.links[j];
-  cost_exclude_weight_ = snap.jobs()[j].weight;
+  set_heat(st.load, st.links[j], snap.jobs()[j].weight);
   return manager_.compute_tree(snap.jobs()[j].participants, root);
 }
 
 std::optional<coll::ReductionTree> PlacementOptimizer::cheapest_tree(
     const CostSnapshot& snap, State& st, u32 j) {
-  std::optional<coll::ReductionTree> best;
-  for (net::Switch* sw : net_.switches()) {
-    std::optional<coll::ReductionTree> t = tree_for(snap, st, j, sw->id());
-    if (t && (!best || t->cost < best->cost)) best = std::move(t);
-  }
-  return best;  // strict less: first in switches() order wins ties
+  set_heat(st.load, st.links[j], snap.jobs()[j].weight);
+  return manager_.cheapest_tree(snap.jobs()[j].participants);
 }
 
 f64 PlacementOptimizer::objective(const CostSnapshot& snap,
@@ -235,17 +230,9 @@ f64 PlacementOptimizer::admission_score(
   for (const JobView& jv : snap.jobs()) {
     for (const u32 l : jv.links) load[l] += jv.weight;
   }
-  const std::vector<u32> no_exclude;
-  cost_snap_ = &snap;
-  cost_load_ = &load;
-  cost_exclude_links_ = &no_exclude;
-  cost_exclude_weight_ = 0.0;
-  std::optional<coll::ReductionTree> best;
-  for (net::Switch* sw : net_.switches()) {
-    std::optional<coll::ReductionTree> t =
-        manager_.compute_tree(participants, sw->id());
-    if (t && (!best || t->cost < best->cost)) best = std::move(t);
-  }
+  set_heat(load, {}, 0.0);
+  const std::optional<coll::ReductionTree> best =
+      manager_.cheapest_tree(participants);
   if (!best) return std::numeric_limits<f64>::infinity();
   f64 score = 0.0;
   for (const u32 l : snap.tree_links(*best)) {

@@ -96,18 +96,20 @@ class PlacementOptimizer {
                                               State& st, u32 j,
                                               net::NodeId root);
   f64 objective(const CostSnapshot& snap, const State& st) const;
+  /// Fills heat_ for the next embedding call from `load`, subtracting
+  /// `exclude_weight` on `exclude_links` (sorted, deduplicated).
+  void set_heat(const std::vector<f64>& load,
+                const std::vector<u32>& exclude_links, f64 exclude_weight);
 
   net::Network& net_;
   OptimizerOptions opt_;
-  /// Private manager: reuses the deterministic congestion-aware Dijkstra
-  /// (compute_tree) against the SNAPSHOT loads via a link-cost closure
-  /// reading cost_* below.  Never installs anything.
+  /// Private manager: reuses the deterministic congestion-aware embedding
+  /// (compute_tree / cheapest_tree) against the SNAPSHOT loads via a
+  /// link-cost closure reading heat_.  Never installs anything.
   coll::NetworkManager manager_;
-  // Link-cost closure inputs for the current compute_tree call.
-  const CostSnapshot* cost_snap_ = nullptr;
-  const std::vector<f64>* cost_load_ = nullptr;
-  const std::vector<u32>* cost_exclude_links_ = nullptr;  ///< sorted
-  f64 cost_exclude_weight_ = 0.0;
+  /// Per unidirectional link, the frozen load the current embedding call
+  /// sees: clamp(load − the moving job's own weight on its links, >= 0).
+  std::vector<f64> heat_;
 };
 
 /// Hysteresis: drops plan moves with predicted_gain < min_gain (applying a

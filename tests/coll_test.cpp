@@ -7,13 +7,22 @@
 // less than SparCML).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <deque>
+#include <limits>
+#include <map>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "coll/communicator.hpp"
 #include "coll/flare_sparse.hpp"
 #include "coll/manager.hpp"
 #include "coll/sparcml.hpp"
 #include "coll/tree_cache.hpp"
+#include "common/rng.hpp"
 #include "workload/generators.hpp"
 
 namespace flare::coll {
@@ -219,6 +228,419 @@ TEST(Manager, IdsUniqueAcrossManagersOnOneNetwork) {
   NetworkManager a(net), b(net);
   std::set<u32> ids = {a.next_id(), b.next_id(), a.next_id(), b.next_id()};
   EXPECT_EQ(ids.size(), 4u);
+}
+
+// ------------------------------------------------------ embedding oracle ---
+
+/// The reference embedding NetworkManager must reproduce bit for bit: BFS
+/// under unit hop costs, otherwise Dijkstra over a std::set frontier, with
+/// a fresh switch map, Network::port_usable on every relaxation, the
+/// provider called on every relaxation and again for the tree cost.
+std::optional<ReductionTree> oracle_tree(
+    net::Network& net, const std::vector<net::Host*>& participants,
+    net::NodeId root, const NetworkManager::LinkCostFn& link_cost) {
+  const u32 n = net.num_nodes();
+  std::vector<u32> dist(n, std::numeric_limits<u32>::max());
+  std::vector<f64> cost(n, std::numeric_limits<f64>::infinity());
+  std::vector<net::NodeId> pred(n, net::kInvalidNode);
+  std::vector<u32> pred_port(n, UINT32_MAX);
+  dist[root] = 0;
+  cost[root] = 0.0;
+  std::unordered_map<net::NodeId, net::Switch*> switch_by_id;
+  for (net::Switch* sw : net.switches()) switch_by_id[sw->id()] = sw;
+  if (!switch_by_id.contains(root)) return std::nullopt;
+  if (switch_by_id.at(root)->failed()) return std::nullopt;
+  const auto back_port = [&net](net::NodeId from, net::NodeId to) {
+    for (const net::PortPeer& back : net.neighbors(from)) {
+      if (back.peer == to) return back.my_port;
+    }
+    return UINT32_MAX;
+  };
+
+  if (!link_cost) {
+    std::deque<net::NodeId> frontier{root};
+    while (!frontier.empty()) {
+      const net::NodeId cur = frontier.front();
+      frontier.pop_front();
+      for (const net::PortPeer& pp : net.neighbors(cur)) {
+        if (!switch_by_id.contains(pp.peer)) continue;
+        if (dist[pp.peer] != std::numeric_limits<u32>::max()) continue;
+        if (!net.port_usable(cur, pp.my_port)) continue;
+        dist[pp.peer] = dist[cur] + 1;
+        cost[pp.peer] = cost[cur] + 1.0;
+        pred[pp.peer] = cur;
+        pred_port[pp.peer] = back_port(pp.peer, cur);
+        frontier.push_back(pp.peer);
+      }
+    }
+  } else {
+    std::set<std::pair<f64, net::NodeId>> frontier{{0.0, root}};
+    while (!frontier.empty()) {
+      const auto [ccost, cur] = *frontier.begin();
+      frontier.erase(frontier.begin());
+      if (ccost > cost[cur]) continue;
+      for (const net::PortPeer& pp : net.neighbors(cur)) {
+        if (!switch_by_id.contains(pp.peer)) continue;
+        if (!net.port_usable(cur, pp.my_port)) continue;
+        const f64 ncost = cost[cur] + link_cost(cur, pp.my_port);
+        if (ncost >= cost[pp.peer]) continue;
+        frontier.erase({cost[pp.peer], pp.peer});
+        cost[pp.peer] = ncost;
+        dist[pp.peer] = dist[cur] + 1;
+        pred[pp.peer] = cur;
+        pred_port[pp.peer] = back_port(pp.peer, cur);
+        frontier.insert({ncost, pp.peer});
+      }
+    }
+  }
+
+  std::vector<std::vector<net::Host*>> hosts_of(n);
+  for (net::Host* host : participants) {
+    const auto& adj = net.neighbors(host->id());
+    const net::NodeId leaf = adj[0].peer;
+    if (dist[leaf] == std::numeric_limits<u32>::max()) return std::nullopt;
+    if (!net.port_usable(host->id(), adj[0].my_port)) return std::nullopt;
+    hosts_of[leaf].push_back(host);
+  }
+  std::vector<bool> needed(n, false);
+  for (net::NodeId id = 0; id < n; ++id) {
+    if (hosts_of[id].empty()) continue;
+    for (net::NodeId cur = id; cur != net::kInvalidNode && !needed[cur];
+         cur = pred[cur]) {
+      needed[cur] = true;
+    }
+  }
+  if (!needed[root]) return std::nullopt;
+  // Needed child switches of `id`, in adjacency order, parallel links
+  // deduplicated: (child, port at id).
+  const auto children = [&](net::NodeId id) {
+    std::vector<std::pair<net::NodeId, u32>> out;
+    std::unordered_set<net::NodeId> seen;
+    for (const net::PortPeer& pp : net.neighbors(id)) {
+      if (switch_by_id.contains(pp.peer) && pred[pp.peer] == id &&
+          needed[pp.peer] && seen.insert(pp.peer).second) {
+        out.emplace_back(pp.peer, pp.my_port);
+      }
+    }
+    return out;
+  };
+
+  ReductionTree tree;
+  tree.root = root;
+  std::vector<net::NodeId> order;
+  for (std::deque<net::NodeId> q{root}; !q.empty(); q.pop_front()) {
+    order.push_back(q.front());
+    for (const auto& [child, port] : children(q.front())) q.push_back(child);
+  }
+  tree.host_child_index.assign(net.hosts().size(), 0);
+  tree.switches.resize(order.size());
+  for (u32 i = 0; i < order.size(); ++i) {
+    const net::NodeId id = order[i];
+    TreeSwitchEntry& e = tree.switches[i];
+    e.sw = switch_by_id.at(id);
+    e.depth = dist[id];
+    tree.max_depth = std::max(tree.max_depth, e.depth);
+    if (id != root) {
+      e.parent_port = pred_port[id];
+      const net::NodeId parent = pred[id];
+      u16 idx = static_cast<u16>(hosts_of[parent].size());
+      for (const auto& [child, port] : children(parent)) {
+        if (child == id) break;
+        ++idx;
+      }
+      e.child_index_at_parent = idx;
+    }
+    u16 next_index = 0;
+    for (net::Host* host : hosts_of[id]) {
+      e.child_ports.push_back(back_port(id, host->id()));
+      tree.host_child_index[host->host_index()] = next_index++;
+    }
+    for (const auto& [child, port] : children(id)) {
+      e.child_ports.push_back(port);
+      ++next_index;
+    }
+    e.num_children = next_index;
+  }
+  for (const TreeSwitchEntry& e : tree.switches) {
+    for (const u32 p : e.child_ports) {
+      tree.cost += link_cost ? link_cost(e.sw->id(), p) : 1.0;
+    }
+  }
+  return tree;
+}
+
+/// The all-roots sweep: strict less, first in switches() order wins.
+std::optional<ReductionTree> oracle_cheapest(
+    net::Network& net, const std::vector<net::Host*>& participants,
+    const NetworkManager::LinkCostFn& link_cost) {
+  std::optional<ReductionTree> best;
+  for (net::Switch* sw : net.switches()) {
+    auto t = oracle_tree(net, participants, sw->id(), link_cost);
+    if (t && (!best || t->cost < best->cost)) best = std::move(t);
+  }
+  return best;
+}
+
+/// install_with_retry's candidate order: every spanning root, sorted by
+/// (cost, size, depth, root) under a provider, (size, depth) without.
+std::vector<ReductionTree> oracle_install_order(
+    net::Network& net, const std::vector<net::Host*>& participants,
+    const NetworkManager::LinkCostFn& link_cost) {
+  std::vector<ReductionTree> candidates;
+  for (net::Switch* sw : net.switches()) {
+    auto t = oracle_tree(net, participants, sw->id(), link_cost);
+    if (t) candidates.push_back(std::move(*t));
+  }
+  if (link_cost) {
+    std::sort(candidates.begin(), candidates.end(),
+              [](const ReductionTree& a, const ReductionTree& b) {
+                if (a.cost != b.cost) return a.cost < b.cost;
+                if (a.switches.size() != b.switches.size())
+                  return a.switches.size() < b.switches.size();
+                if (a.max_depth != b.max_depth)
+                  return a.max_depth < b.max_depth;
+                return a.root < b.root;
+              });
+  } else {
+    std::sort(candidates.begin(), candidates.end(),
+              [](const ReductionTree& a, const ReductionTree& b) {
+                if (a.switches.size() != b.switches.size())
+                  return a.switches.size() < b.switches.size();
+                return a.max_depth < b.max_depth;
+              });
+  }
+  return candidates;
+}
+
+void expect_same_tree(const std::optional<ReductionTree>& got,
+                      const std::optional<ReductionTree>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!want) return;
+  EXPECT_EQ(got->root, want->root) << where;
+  EXPECT_EQ(got->max_depth, want->max_depth) << where;
+  EXPECT_EQ(got->host_child_index, want->host_child_index) << where;
+  EXPECT_EQ(std::bit_cast<u64>(got->cost), std::bit_cast<u64>(want->cost))
+      << where << " cost " << got->cost << " vs " << want->cost;
+  ASSERT_EQ(got->switches.size(), want->switches.size()) << where;
+  for (std::size_t i = 0; i < want->switches.size(); ++i) {
+    const TreeSwitchEntry& g = got->switches[i];
+    const TreeSwitchEntry& w = want->switches[i];
+    EXPECT_EQ(g.sw, w.sw) << where << " entry " << i;
+    EXPECT_EQ(g.depth, w.depth) << where << " entry " << i;
+    EXPECT_EQ(g.parent_port, w.parent_port) << where << " entry " << i;
+    EXPECT_EQ(g.child_index_at_parent, w.child_index_at_parent)
+        << where << " entry " << i;
+    EXPECT_EQ(g.child_ports, w.child_ports) << where << " entry " << i;
+    EXPECT_EQ(g.num_children, w.num_children) << where << " entry " << i;
+  }
+}
+
+/// Seeded fabrics: 2-level fat trees (radix 8 over 16 hosts wires every
+/// leaf to each spine twice — parallel links) and 3-level fat trees.
+std::vector<net::Host*> build_oracle_fabric(net::Network& net, u32 shape) {
+  switch (shape % 4) {
+    case 0: {
+      net::FatTreeSpec spec;
+      spec.hosts = 16;
+      spec.radix = 4;
+      spec.max_allreduces = 1;
+      return net::build_fat_tree(net, spec).hosts;
+    }
+    case 1: {
+      net::FatTreeSpec spec;
+      spec.hosts = 16;
+      spec.radix = 8;
+      spec.max_allreduces = 1;
+      return net::build_fat_tree(net, spec).hosts;
+    }
+    case 2: {
+      net::FatTree3Spec spec;
+      spec.radix = 4;
+      spec.max_allreduces = 1;
+      return net::build_fat_tree_3level(net, spec).hosts;
+    }
+    default: {
+      net::FatTree3Spec spec;
+      spec.radix = 6;
+      spec.pods = 3;
+      spec.max_allreduces = 1;
+      return net::build_fat_tree_3level(net, spec).hosts;
+    }
+  }
+}
+
+TEST(EmbeddingOracle, EveryRootMatchesUnderFaultsAndProviders) {
+  u32 compared = 0;
+  u32 spanned = 0;
+  for (u64 seed = 1; seed <= 24; ++seed) {
+    net::Network net;
+    const std::vector<net::Host*> hosts =
+        build_oracle_fabric(net, static_cast<u32>(seed));
+    Rng rng(seed * 0x9E3779B97F4A7C15ull);
+    // Random duplex links down (host access links included) and switches
+    // failed; seed % 3 == 0 keeps the fabric whole.
+    if (seed % 3 != 0) {
+      const u64 downs = rng.uniform_u64(4);
+      for (u64 k = 0; k < downs; ++k) {
+        net.set_duplex_up(
+            static_cast<u32>(rng.uniform_u64(net.num_duplex_links())), false);
+      }
+      const u64 fails = rng.uniform_u64(3);
+      for (u64 k = 0; k < fails; ++k) {
+        net.switches()[rng.uniform_u64(net.switches().size())]->fail();
+      }
+    }
+    // Per-link provider values: real-valued in [1, 5), and small integers
+    // {1, 2, 3} that force cost ties.
+    std::vector<f64> real(net.num_links());
+    std::vector<f64> small(net.num_links());
+    for (u32 i = 0; i < net.num_links(); ++i) {
+      real[i] = rng.uniform(1.0, 5.0);
+      small[i] = static_cast<f64>(1 + rng.uniform_u64(3));
+    }
+    const auto by_link = [&net](const std::vector<f64>& v) {
+      return NetworkManager::LinkCostFn(
+          [&net, &v](net::NodeId node, u32 port) {
+            return v[net.node(node).port(port).index()];
+          });
+    };
+    const std::vector<NetworkManager::LinkCostFn> providers = {
+        nullptr, by_link(real), by_link(small)};
+
+    NetworkManager mgr(net);  // one manager: the graph cache is reused
+    for (u32 trial = 0; trial < 4; ++trial) {
+      std::vector<net::Host*> parts = hosts;
+      std::shuffle(parts.begin(), parts.end(), rng);
+      parts.resize(1 + rng.uniform_u64(parts.size()));
+      for (std::size_t pi = 0; pi < providers.size(); ++pi) {
+        const NetworkManager::LinkCostFn& provider = providers[pi];
+        mgr.set_link_cost(provider);
+        const std::string where = "seed " + std::to_string(seed) +
+                                  " trial " + std::to_string(trial) +
+                                  " provider " + std::to_string(pi);
+        for (net::Switch* sw : net.switches()) {
+          const auto want = oracle_tree(net, parts, sw->id(), provider);
+          expect_same_tree(mgr.compute_tree(parts, sw->id()), want,
+                           where + " root " + sw->name());
+          ++compared;
+          if (want) ++spanned;
+        }
+        expect_same_tree(mgr.cheapest_tree(parts),
+                         oracle_cheapest(net, parts, provider),
+                         where + " cheapest");
+
+        // Admission walks the oracle's candidate order: fill random live
+        // switches so several candidates are rejected before one fits.
+        std::vector<u32> filled;
+        for (net::Switch* sw : net.switches()) {
+          if (sw->can_install() && rng.uniform() < 0.3) {
+            core::AllreduceConfig dummy;
+            dummy.id = mgr.next_id();
+            dummy.dtype = core::DType::kInt32;
+            dummy.elems_per_packet = 16;
+            ASSERT_TRUE(sw->install_reduce(dummy, net::ReduceRole{}));
+            filled.push_back(dummy.id);
+          }
+        }
+        const std::vector<ReductionTree> order =
+            oracle_install_order(net, parts, provider);
+        u32 want_attempts = 0;
+        bool want_feasible = false;
+        std::optional<ReductionTree> want_tree;
+        for (const ReductionTree& t : order) {
+          ++want_attempts;
+          bool fits = true;
+          for (const TreeSwitchEntry& e : t.switches) {
+            fits = fits && e.sw->can_install();
+          }
+          want_feasible = want_feasible ||
+                          std::all_of(t.switches.begin(), t.switches.end(),
+                                      [](const TreeSwitchEntry& e) {
+                                        return e.sw->max_allreduces() > 0;
+                                      });
+          if (fits) {
+            want_tree = t;
+            break;
+          }
+        }
+        core::AllreduceConfig cfg;
+        cfg.id = mgr.next_id();
+        cfg.dtype = core::DType::kInt32;
+        cfg.elems_per_packet = 16;
+        InstallReport report = mgr.install_with_retry(parts, cfg, 1e12);
+        EXPECT_EQ(report.attempts, want_attempts) << where;
+        EXPECT_EQ(report.any_feasible, want_feasible) << where;
+        expect_same_tree(report.tree, want_tree, where + " install");
+        if (report) mgr.uninstall(*report, cfg.id);
+        for (const u32 id : filled) {
+          for (net::Switch* sw : net.switches()) sw->uninstall_reduce(id);
+        }
+      }
+    }
+  }
+  // The sweep must exercise real trees, not a fabric that never spans.
+  EXPECT_GT(spanned, compared / 4);
+}
+
+TEST(EmbeddingOracle, ProviderCalledOncePerPortAndGraphFollowsTopology) {
+  net::Network net;
+  net::FatTreeSpec spec;
+  spec.hosts = 16;
+  spec.radix = 8;
+  const auto topo = net::build_fat_tree(net, spec);
+  std::map<std::pair<net::NodeId, u32>, u32> calls;
+  const NetworkManager::LinkCostFn counting = [&calls](net::NodeId node,
+                                                       u32 port) {
+    calls[{node, port}] += 1;
+    return static_cast<f64>(1 + (node * 7 + port) % 3);
+  };
+  NetworkManager mgr(net);
+  mgr.set_link_cost(counting);
+  const auto max_calls = [&calls] {
+    u32 worst = 0;
+    for (const auto& [key, count] : calls) worst = std::max(worst, count);
+    return worst;
+  };
+  std::vector<net::Host*> parts = {topo.hosts[0], topo.hosts[5],
+                                   topo.hosts[9], topo.hosts[14]};
+
+  // A whole all-roots sweep evaluates each (switch, port) at most once,
+  // and so does a single embedding and an admission round.
+  ASSERT_TRUE(mgr.cheapest_tree(parts).has_value());
+  EXPECT_GT(calls.size(), 0u);
+  EXPECT_EQ(max_calls(), 1u);
+  calls.clear();
+  ASSERT_TRUE(mgr.compute_tree(parts, topo.spines[1]->id()).has_value());
+  EXPECT_EQ(max_calls(), 1u);
+  calls.clear();
+  core::AllreduceConfig cfg;
+  cfg.id = mgr.next_id();
+  cfg.dtype = core::DType::kInt32;
+  cfg.elems_per_packet = 16;
+  InstallReport report = mgr.install_with_retry(parts, cfg, 1e12);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(max_calls(), 1u);
+  mgr.uninstall(*report, cfg.id);
+
+  // A switch added after the first embedding: unreachable while it has
+  // no links, then a valid root once wired to every leaf.
+  net::Switch& extra = net.add_switch("extra");
+  EXPECT_FALSE(mgr.compute_tree(parts, extra.id()).has_value());
+  for (net::Switch* leaf : topo.leaves) {
+    net.connect(*leaf, extra, spec.link.bandwidth_bps, spec.link.latency_ps);
+  }
+  const auto got = mgr.compute_tree(parts, extra.id());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->root, extra.id());
+  expect_same_tree(got, oracle_tree(net, parts, extra.id(), counting),
+                   "extra root");
+  expect_same_tree(mgr.cheapest_tree(parts),
+                   oracle_cheapest(net, parts, counting), "extra cheapest");
+  mgr.set_link_cost(nullptr);
+  expect_same_tree(mgr.compute_tree(parts, extra.id()),
+                   oracle_tree(net, parts, extra.id(), nullptr),
+                   "extra root, BFS");
 }
 
 // ---------------------------------------------------------- tree cache ----
