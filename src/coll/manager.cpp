@@ -35,9 +35,10 @@ void NetworkManager::ensure_graph() {
   sw_.assign(sws.begin(), sws.end());
   slot_of_.assign(n, UINT32_MAX);
   for (u32 i = 0; i < s; ++i) slot_of_[sws[i]->id()] = i;
-  const auto first_port_toward = [this](net::NodeId from, net::NodeId to) {
+  // The port of `from` whose outgoing link is `link`.
+  const auto port_of = [this](net::NodeId from, const net::Link* link) {
     for (const net::PortPeer& pp : net_.neighbors(from)) {
-      if (pp.peer == to) return pp.my_port;
+      if (&net_.node(from).port(pp.my_port) == link) return pp.my_port;
     }
     return UINT32_MAX;
   };
@@ -48,8 +49,9 @@ void NetworkManager::ensure_graph() {
     for (const net::PortPeer& pp : net_.neighbors(sw->id())) {
       const u32 peer = slot_of_[pp.peer];
       if (peer == UINT32_MAX) continue;  // hosts are not part of the search
-      arcs_.push_back({peer, pp.my_port, first_port_toward(pp.peer, sw->id()),
-                       &sw->port(pp.my_port), sws[peer]});
+      const net::Link* out = &sw->port(pp.my_port);
+      arcs_.push_back({peer, pp.my_port, port_of(pp.peer, out->reverse()),
+                       out, sws[peer]});
     }
     arc_begin_.push_back(static_cast<u32>(arcs_.size()));
   }
@@ -61,8 +63,8 @@ void NetworkManager::ensure_graph() {
     a.single_homed = adj.size() == 1;
     if (!a.single_homed || slot_of_[adj[0].peer] == UINT32_MAX) continue;
     a.leaf = slot_of_[adj[0].peer];
-    a.leaf_port = first_port_toward(adj[0].peer, host->id());
     a.up = &host->port(adj[0].my_port);
+    a.leaf_port = port_of(adj[0].peer, a.up->reverse());
     a.down = &sws[a.leaf]->port(a.leaf_port);
   }
 
@@ -74,10 +76,9 @@ void NetworkManager::ensure_graph() {
   dist_.assign(s, 0);
   path_cost_.assign(s, 0.0);
   pred_.assign(s, UINT32_MAX);
-  pred_port_.assign(s, UINT32_MAX);
+  pred_arc_.assign(s, UINT32_MAX);
   child_index_.assign(s, 0);
   needed_.assign(s, 0);
-  queued_.assign(s, 0);
   stamp_ = 0;
 }
 
@@ -124,6 +125,7 @@ bool NetworkManager::search(u32 root) {
   std::fill(path_cost_.begin(), path_cost_.end(),
             std::numeric_limits<f64>::infinity());
   std::fill(pred_.begin(), pred_.end(), UINT32_MAX);
+  pred_arc_[root] = UINT32_MAX;
   dist_[root] = 0;
   path_cost_[root] = 0.0;
   // An arc is usable when its duplex link is up both ways and the peer is
@@ -144,7 +146,7 @@ bool NetworkManager::search(u32 root) {
         if (dist_[arc.peer] != kUnreached || !usable(arc)) continue;
         dist_[arc.peer] = dist_[cur] + 1;
         pred_[arc.peer] = cur;
-        pred_port_[arc.peer] = arc.back_port;
+        pred_arc_[arc.peer] = k;
         queue_.push_back(arc.peer);
       }
     }
@@ -169,7 +171,7 @@ bool NetworkManager::search(u32 root) {
         path_cost_[arc.peer] = ncost;
         dist_[arc.peer] = dist_[cur] + 1;
         pred_[arc.peer] = cur;
-        pred_port_[arc.peer] = arc.back_port;
+        pred_arc_[arc.peer] = k;
         heap_.emplace_back(ncost, arc.peer);
         std::push_heap(heap_.begin(), heap_.end(), later);
       }
@@ -179,7 +181,6 @@ bool NetworkManager::search(u32 root) {
   // A switch is needed if participant hosts sit below it in the tree.
   if (++stamp_ == 0) {  // wrapped: no mark may look current
     std::fill(needed_.begin(), needed_.end(), 0);
-    std::fill(queued_.begin(), queued_.end(), 0);
     stamp_ = 1;
   }
   for (const u32 leaf : leaves_) {
@@ -194,13 +195,12 @@ bool NetworkManager::search(u32 root) {
 
 f64 NetworkManager::walk(u32 root, ReductionTree* tree) {
   // Entries in BFS order (root first).  Per switch: participant hosts
-  // first, then needed child switches — those whose predecessor is this
-  // switch, at their first arc (parallel links would list them twice).
-  // The cost sums every tree edge once, child links only (parent links
-  // are the same edges seen from below), in exactly this order.
+  // first, then needed child switches, each at exactly the arc the search
+  // reached it over (a parallel link is never a second child).  The cost
+  // sums every tree edge once, child links only (parent links are the same
+  // edges seen from below), in exactly this order.
   f64 total = 0.0;
   queue_.assign(1, root);
-  queued_[root] = stamp_;
   for (std::size_t head = 0; head < queue_.size(); ++head) {
     const u32 cur = queue_[head];
     TreeSwitchEntry* e = nullptr;
@@ -210,7 +210,7 @@ f64 NetworkManager::walk(u32 root, ReductionTree* tree) {
       e->depth = dist_[cur];
       tree->max_depth = std::max(tree->max_depth, e->depth);
       if (cur != root) {
-        e->parent_port = pred_port_[cur];
+        e->parent_port = arcs_[pred_arc_[cur]].back_port;
         e->child_index_at_parent = child_index_[cur];
       }
     }
@@ -226,11 +226,7 @@ f64 NetworkManager::walk(u32 root, ReductionTree* tree) {
     }
     for (u32 k = arc_begin_[cur]; k < arc_begin_[cur + 1]; ++k) {
       const Arc& arc = arcs_[k];
-      if (pred_[arc.peer] != cur || needed_[arc.peer] != stamp_ ||
-          queued_[arc.peer] == stamp_) {
-        continue;
-      }
-      queued_[arc.peer] = stamp_;
+      if (pred_arc_[arc.peer] != k || needed_[arc.peer] != stamp_) continue;
       total += edge_cost(cur, arc.my_port, arc.out);
       if (e != nullptr) e->child_ports.push_back(arc.my_port);
       child_index_[arc.peer] = next_index++;

@@ -162,11 +162,13 @@ class NetworkManager {
  private:
   /// One switch-to-switch arc of the cached switch graph, in the order
   /// Network::neighbors lists it (parallel links included, usable or not:
-  /// the tree wires the FIRST arc toward a child, as the adjacency does).
+  /// the tree wires each child at exactly the arc the search reached it
+  /// over).
   struct Arc {
     u32 peer = 0;                  ///< switch slot of the peer
     u32 my_port = 0;
-    /// The peer's FIRST port toward this switch — a child's parent_port.
+    /// The peer's port whose link is out->reverse() — a child's
+    /// parent_port.
     u32 back_port = 0;
     const net::Link* out = nullptr;
     const net::Switch* peer_sw = nullptr;
@@ -224,13 +226,12 @@ class NetworkManager {
   std::vector<u32> dist_;
   std::vector<f64> path_cost_;
   std::vector<u32> pred_;                 ///< slot; UINT32_MAX at the root
-  std::vector<u32> pred_port_;
+  std::vector<u32> pred_arc_;             ///< arc that reached the slot
   std::vector<std::pair<f64, u32>> heap_;
   std::vector<u32> queue_;
   std::vector<u16> child_index_;
   u32 stamp_ = 0;
   std::vector<u32> needed_;               ///< == stamp_: on the tree
-  std::vector<u32> queued_;               ///< == stamp_: emitted by walk
 };
 
 }  // namespace flare::coll

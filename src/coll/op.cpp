@@ -629,7 +629,7 @@ void HostOpBase::send_step(u32 h, u32 step) {
 void HostOpBase::transmit(u32 h, u32 step, const Payload& p) {
   const u32 dst = send_peer(h, step);
   const u32 frags = std::max<u32>(
-      1, static_cast<u32>((p.bytes + desc_.mtu_bytes - 1) / desc_.mtu_bytes));
+      1, static_cast<u32>((p.bytes + kMtuBytes - 1) / kMtuBytes));
   for (u32 f = 0; f < frags; ++f) {
     auto msg = std::make_shared<net::HostMsg>();
     msg->dst_host = dst;
@@ -641,7 +641,7 @@ void HostOpBase::transmit(u32 h, u32 step, const Payload& p) {
       msg->sparse = p.sparse;
     }
     const u64 frag_bytes = std::min<u64>(
-        desc_.mtu_bytes, p.bytes - static_cast<u64>(f) * desc_.mtu_bytes);
+        kMtuBytes, p.bytes - static_cast<u64>(f) * kMtuBytes);
     // One flow per (op, sender): FIFO along one ECMP path.
     post(h, std::move(msg), h, frag_bytes + core::kPacketWireOverhead);
   }

@@ -33,7 +33,7 @@
 // host walks steps 0..num_steps()-1, sending one payload to its send peer
 // and consuming one payload from its receive peer per step.  The base owns
 // everything else — a fresh wire-protocol id per op, fragmentation at
-// mtu_bytes with per-fragment reassembly bitmaps, per-step sent snapshots,
+// kMtuBytes with per-fragment reassembly bitmaps, per-step sent snapshots,
 // receiver-driven NACK/replay under a watchdog with capped exponential
 // backoff, the bounded NACK budget, and the shared half of finalize.
 #pragma once
@@ -392,7 +392,10 @@ class HostOpBase : public OpBase {
   void begin(u64 seed, std::shared_ptr<OpState> state) final;
 
  protected:
-  /// What one host sends at one step.  Fragmented at mtu_bytes; the typed
+  /// Fragmentation unit for ring / SparCML messages.
+  static constexpr u64 kMtuBytes = 4096;
+
+  /// What one host sends at one step.  Fragmented at kMtuBytes; the typed
   /// data rides on the last fragment.
   struct Payload {
     u64 bytes = 0;

@@ -139,9 +139,6 @@ struct CollectiveOptions : Tuning {
   core::AggPolicy policy = core::AggPolicy::kSingleBuffer;
   bool auto_policy = true;
 
-  // --- host-based extras ---
-  u64 mtu_bytes = 4096;  ///< fragmentation unit for ring / SparCML messages
-
   // --- sparse extras (Section 7); `sparse.pairs != nullptr` selects the
   //     sparse engines under kAuto ---
   SparseWorkload sparse;

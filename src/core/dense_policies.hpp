@@ -63,7 +63,7 @@ struct AllreduceConfig {
   bool remote_l1 = false;
 
   /// Host-side fault recovery is armed (Tuning::retransmit_timeout_ps):
-  /// switches cache sparse emission sequences for retransmission replay
+  /// switches cache each block's emitted packets for retransmission replay
   /// only when someone can actually ask for them.
   bool fault_recovery = false;
 

@@ -114,8 +114,7 @@ bool Switch::reset_reduce(u32 allreduce_id) {
   auto it = roles_.find(allreduce_id);
   if (it == roles_.end()) return false;
   it->second.engine->reset();
-  it->second.completed.clear();
-  it->second.completed_sparse.clear();
+  it->second.emitted.clear();
 #if FLARE_VALIDATE_ENABLED
   // A persistent reset must return every acquired hash/array-store byte:
   // anything still out after engine->reset() is the sparse leak class
@@ -234,38 +233,26 @@ void Switch::on_reduce_up(NetPacket&& pkt) {
       serialization_ps(pkt.wire_bytes, role2.service_bps);
   const SimTime start = std::max(now, role2.server_busy_until);
   role2.server_busy_until = start + service;
-  if ((pkt.reduce->hdr.flags & core::kFlagRetransmit) != 0) {
+  // Retransmission of a block's last shard for a block this switch already
+  // finished: the loss was downstream of aggregation (our up-aggregate or
+  // the down-multicast).  Replay the cached emission sequence instead of
+  // feeding the engine, which would just drop the packet as a duplicate.
+  // Only the LAST shard triggers the replay — a host re-sends the whole
+  // block per timeout, so one replay per round per tree level keeps
+  // recovery traffic linear (replaying on EVERY arriving shard would
+  // multiply sequence-length-fold at each level).  Other duplicate shards,
+  // and any shard of a block still incomplete here, go to the engine,
+  // whose trackers absorb them and aggregate only what was lost.
+  if ((pkt.reduce->hdr.flags & core::kFlagRetransmit) != 0 &&
+      pkt.reduce->is_last_shard()) {
     const u32 blk = pkt.reduce->hdr.block_id;
-    if (role2.completed.contains(blk)) {
-      // Retransmission for a block this switch already finished: the loss
-      // was downstream of aggregation (our up-aggregate or the down-
-      // multicast).  Re-emit the cached result instead of feeding the
-      // engine, which would just drop the packet as a duplicate.
+    const auto it = role2.emitted.find(blk);
+    if (it != role2.emitted.end() && it->second.back()->is_last_shard()) {
       net_.sim().schedule_at(role2.server_busy_until,
                              [this, id = pkt.allreduce_id, blk] {
                                reemit_completed(id, blk);
                              });
       return;
-    }
-    // Sparse analogue: the block's whole emission sequence (shards +
-    // spills) is cached; it is re-emittable once the last-shard marker
-    // went out.  Only the retransmitted LAST shard triggers the replay —
-    // a host re-sends the whole block per timeout, so one replay per
-    // round per tree level keeps recovery traffic linear (replaying on
-    // EVERY arriving shard would multiply sequence-length-fold at each
-    // level).  Other duplicate shards, and any shard of a block still
-    // incomplete here, fall through to the engine, whose shard trackers
-    // absorb them and aggregate only what was lost.
-    if (pkt.reduce->is_last_shard()) {
-      const auto sit = role2.completed_sparse.find(blk);
-      if (sit != role2.completed_sparse.end() && !sit->second.empty() &&
-          sit->second.back()->is_last_shard()) {
-        net_.sim().schedule_at(role2.server_busy_until,
-                               [this, id = pkt.allreduce_id, blk] {
-                                 reemit_completed_sparse(id, blk);
-                               });
-        return;
-      }
     }
   }
   net_.sim().schedule_at(
@@ -283,53 +270,18 @@ void Switch::on_reduce_up(NetPacket&& pkt) {
 }
 
 void Switch::reemit_completed(u32 allreduce_id, u32 block_id) {
-  auto it = roles_.find(allreduce_id);
-  if (it == roles_.end()) return;  // uninstalled/crashed while queued
-  ReduceRole& role2 = it->second;
-  auto cit = role2.completed.find(block_id);
-  if (cit == role2.completed.end()) return;
-  core::Packet copy = *cit->second;
-  copy.hdr.flags |= core::kFlagRetransmit;  // keep the cache path upstream
-  NetPacket np;
-  np.allreduce_id = allreduce_id;
-  np.trace = role2.engine->config().trace;
-  np.wire_bytes = copy.wire_bytes();
-  if (role2.is_root || copy.is_down()) {
-    np.kind = PacketKind::kReduceDown;
-    np.reduce = core::make_pooled_packet(std::move(copy));
-    on_reduce_down(std::move(np));
-  } else {
-    np.kind = PacketKind::kReduceUp;
-    np.reduce = core::make_pooled_packet(std::move(copy));
-    port(role2.parent_port).send(std::move(np));
-  }
-}
-
-void Switch::reemit_completed_sparse(u32 allreduce_id, u32 block_id) {
-  auto it = roles_.find(allreduce_id);
-  if (it == roles_.end()) return;  // uninstalled/crashed while queued
-  ReduceRole& role2 = it->second;
-  const auto cit = role2.completed_sparse.find(block_id);
-  if (cit == role2.completed_sparse.end()) return;
-  // Replay the whole emission sequence in order; receivers deduplicate by
+  const ReduceRole* r = find_role(allreduce_id);
+  if (r == nullptr) return;  // uninstalled/crashed while queued
+  const auto it = r->emitted.find(block_id);
+  if (it == r->emitted.end()) return;
+  // Replay the whole sequence in order; receivers deduplicate by
   // (child, shard_seq) — host-side via the down ShardTrackers — so only
   // what was actually lost takes effect.
-  for (const std::shared_ptr<const core::Packet>& cached : cit->second) {
+  for (const std::shared_ptr<const core::Packet>& cached : it->second) {
     core::Packet copy = *cached;
     copy.hdr.flags |= core::kFlagRetransmit;  // keep the cache path upstream
-    NetPacket np;
-    np.allreduce_id = allreduce_id;
-    np.trace = role2.engine->config().trace;
-    np.wire_bytes = copy.wire_bytes();
-    if (role2.is_root || copy.is_down()) {
-      np.kind = PacketKind::kReduceDown;
-      np.reduce = core::make_pooled_packet(std::move(copy));
-      on_reduce_down(std::move(np));
-    } else {
-      np.kind = PacketKind::kReduceUp;
-      np.reduce = core::make_pooled_packet(std::move(copy));
-      port(role2.parent_port).send(std::move(np));
-    }
+    send_result(r->parent_port,
+                result_packet(*r, core::make_pooled_packet(std::move(copy))));
   }
 }
 
@@ -347,53 +299,44 @@ void Switch::on_reduce_down(NetPacket&& pkt) {
   }
 }
 
+NetPacket Switch::result_packet(const ReduceRole& role,
+                                std::shared_ptr<const core::Packet> pkt) {
+  NetPacket np;
+  np.kind = role.is_root || pkt->is_down() ? PacketKind::kReduceDown
+                                           : PacketKind::kReduceUp;
+  np.allreduce_id = pkt->hdr.allreduce_id;
+  np.trace = role.engine->config().trace;
+  np.wire_bytes = pkt->wire_bytes();
+  np.reduce = std::move(pkt);
+  return np;
+}
+
+void Switch::send_result(u32 parent_port, NetPacket&& np) {
+  if (np.kind == PacketKind::kReduceDown) {
+    on_reduce_down(std::move(np));
+  } else {
+    port(parent_port).send(std::move(np));
+  }
+}
+
 void Switch::emit(core::Packet&& pkt, SimTime when) {
-  const u32 id = pkt.hdr.allreduce_id;
-  const u32 block = pkt.hdr.block_id;
-  // Dense results are one packet per block: cache them for retransmission
-  // re-emit.  A sparse block's output spans several shard/spill packets, so
-  // the sparse cache records the whole emission sequence in order (valid
-  // for re-emit once its last-shard marker lands — see on_reduce_up); it
-  // is kept only when fault recovery is armed, since nothing can request
-  // a replay otherwise and large sparse iterations would pay the memory
-  // for nothing.
-  ReduceRole* found = find_role(id);
+  ReduceRole* found = find_role(pkt.hdr.allreduce_id);
   FLARE_ASSERT_MSG(found != nullptr, "emit for an uninstalled allreduce");
   ReduceRole& role2 = *found;
-  const bool sparse = pkt.is_sparse();
-  const bool cache_sparse =
-      sparse && role2.engine->config().fault_recovery;
-  NetPacket np;
-  np.allreduce_id = id;
-  np.trace = role2.engine->config().trace;
-  np.wire_bytes = pkt.wire_bytes();
-  if (role2.is_root || pkt.is_down()) {
-    np.kind = PacketKind::kReduceDown;
-    np.reduce = core::make_pooled_packet(std::move(pkt));
-    if (cache_sparse) {
-      role2.completed_sparse[block].push_back(np.reduce);
-    } else if (!sparse) {
-      role2.completed[block] = np.reduce;
-    }
-    net_.sim().schedule_at(when, [this, np = std::move(np)]() mutable {
-      if (failed_) return;
-      on_reduce_down(std::move(np));
-    });
-  } else {
-    np.kind = PacketKind::kReduceUp;
+  if (!role2.is_root && !pkt.is_down()) {
     pkt.hdr.child_index = role2.child_index_at_parent;
-    np.reduce = core::make_pooled_packet(std::move(pkt));
-    if (cache_sparse) {
-      role2.completed_sparse[block].push_back(np.reduce);
-    } else if (!sparse) {
-      role2.completed[block] = np.reduce;
-    }
-    const u32 out = role2.parent_port;
-    net_.sim().schedule_at(when, [this, out, np = std::move(np)]() mutable {
-      if (failed_) return;
-      port(out).send(std::move(np));
-    });
   }
+  const u32 block = pkt.hdr.block_id;
+  NetPacket np = result_packet(role2, core::make_pooled_packet(std::move(pkt)));
+  if (role2.engine->config().fault_recovery) {
+    role2.emitted[block].push_back(np.reduce);
+  }
+  // The port is captured now: the role may be uninstalled before `when`.
+  net_.sim().schedule_at(
+      when, [this, out = role2.parent_port, np = std::move(np)]() mutable {
+        if (failed_) return;
+        send_result(out, std::move(np));
+      });
 }
 
 }  // namespace flare::net

@@ -105,20 +105,18 @@ struct ReduceRole {
   /// Calibrated aggregation service rate (bits/s of up-traffic processed).
   f64 service_bps = 0.0;
   SimTime server_busy_until = 0;
-  /// Result packets already emitted for completed blocks this iteration,
-  /// by block id.  A host-timeout retransmission arriving for a completed
-  /// block re-emits the cached result instead of re-aggregating — the
-  /// recovery path for lost switch-to-switch aggregates and lost
-  /// down-multicasts.  Cleared by reset_reduce() between iterations.
-  std::unordered_map<u32, std::shared_ptr<const core::Packet>> completed;
-  /// The SPARSE analogue: a sparse block's output spans several shard and
-  /// spill packets, so the cache keeps the whole emission sequence in
-  /// order.  Valid for re-emit only once the last-shard marker was emitted
-  /// (the final packet of the sequence); receivers deduplicate replays by
-  /// (child, shard_seq), so re-emitting the full sequence is idempotent.
-  /// Cleared by reset_reduce() between iterations.
+  /// Every packet this switch emitted for a block this iteration, in
+  /// order, by block id — kept only when AllreduceConfig::fault_recovery
+  /// is set, since nothing else can ask for a replay.  A dense block is one
+  /// packet; a sparse block spans shard and spill packets and is complete
+  /// once its last-shard marker (the final packet) went out.  A host-
+  /// timeout retransmission of a block's last shard that finds a complete
+  /// sequence here replays it instead of re-aggregating: the recovery path
+  /// for lost switch-to-switch aggregates and lost down-multicasts.
+  /// Receivers deduplicate replays, so re-emitting the whole sequence is
+  /// idempotent.  Cleared by reset_reduce() between iterations.
   std::unordered_map<u32, std::vector<std::shared_ptr<const core::Packet>>>
-      completed_sparse;
+      emitted;
 };
 
 /// Compressed destination routing for host-indexed topologies (the
@@ -264,10 +262,16 @@ class Switch final : public Node, public core::EngineHost {
   void forward_host_msg(NetPacket&& pkt);
   void on_reduce_up(NetPacket&& pkt);
   void on_reduce_down(NetPacket&& pkt);
-  /// Re-sends the cached result of a completed block (retransmission hit).
+  /// Replays a completed block's cached emission sequence (retransmission
+  /// hit).
   void reemit_completed(u32 allreduce_id, u32 block_id);
-  /// Sparse analogue: replays the block's whole cached emission sequence.
-  void reemit_completed_sparse(u32 allreduce_id, u32 block_id);
+  /// Wraps an emitted (or replayed) result for the wire: down-bound at the
+  /// root or for down packets, up-bound otherwise.
+  static NetPacket result_packet(const ReduceRole& role,
+                                 std::shared_ptr<const core::Packet> pkt);
+  /// Multicasts a down-bound result to the tree children, or sends an
+  /// up-bound one through `parent_port`.
+  void send_result(u32 parent_port, NetPacket&& np);
 
   bool failed_ = false;
   u32 max_allreduces_;

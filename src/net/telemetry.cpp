@@ -15,7 +15,6 @@ CongestionMonitor::CongestionMonitor(Network& net,
   busy_at_last_.assign(n, 0);
   by_trace_.resize(n);
   hot_.assign(n, false);
-  for (u32 i = 0; i < n; ++i) index_of_[&net_.link(i)] = i;
 }
 
 void CongestionMonitor::sample() {
@@ -107,13 +106,9 @@ void CongestionMonitor::arm_until(SimTime until) {
 
 const LinkCongestion* CongestionMonitor::stats_for(NodeId node, u32 port,
                                                    bool reverse) const {
-  const Node& n = net_.node(node);
-  if (port >= n.num_ports()) return nullptr;
-  const Link* link = &n.port(port);
-  if (reverse) link = link->reverse();
-  if (link == nullptr) return nullptr;
-  const auto it = index_of_.find(link);
-  return it == index_of_.end() ? nullptr : &snap_.links[it->second];
+  const Link* link = link_for(node, port, reverse);
+  if (link == nullptr || link->index() >= snap_.links.size()) return nullptr;
+  return &snap_.links[link->index()];
 }
 
 const Link* CongestionMonitor::link_for(NodeId node, u32 port,
@@ -126,11 +121,7 @@ const Link* CongestionMonitor::link_for(NodeId node, u32 port,
 
 f64 CongestionMonitor::trace_ewma_of(const Link* link, u32 trace) const {
   if (link == nullptr) return 0.0;
-  const auto it = index_of_.find(link);
-  if (it == index_of_.end()) return 0.0;
-  const std::map<u32, TraceState>& per = by_trace_[it->second];
-  const auto ts = per.find(trace);
-  return ts == per.end() ? 0.0 : ts->second.ewma;
+  return link_trace_ewma(link->index(), trace);
 }
 
 f64 CongestionMonitor::link_trace_ewma(u32 i, u32 trace) const {
@@ -172,8 +163,8 @@ f64 CongestionMonitor::edge_cost(NodeId node, u32 port) const {
   if (const LinkCongestion* in = stats_for(node, port, true)) {
     queue_ps = std::max(queue_ps, static_cast<f64>(in->queue_delay_ps));
   }
-  return 1.0 + opt_.utilization_weight * edge_congestion(node, port) +
-         opt_.queue_weight * queue_ps / static_cast<f64>(opt_.period_ps);
+  return 1.0 + kEdgeUtilizationWeight * edge_congestion(node, port) +
+         kEdgeQueueWeight * queue_ps / static_cast<f64>(opt_.period_ps);
 }
 
 f64 CongestionMonitor::node_congestion(NodeId node) const {

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.hpp"
@@ -56,11 +55,14 @@ struct CongestionMonitorOptions {
   /// congestion-crossing instants (emitted only when the network has a
   /// tracer attached; no effect on any control decision).
   f64 hot_threshold = 0.5;
-  /// edge_cost() = 1 (the hop) + utilization_weight * ewma
-  ///             + queue_weight * queue_delay / period.
-  f64 utilization_weight = 8.0;
-  f64 queue_weight = 2.0;
 };
+
+/// Edge-cost weights: edge_cost() = 1 (the hop)
+///   + kEdgeUtilizationWeight * ewma + kEdgeQueueWeight * queue_delay / period.
+/// The placement optimizer prices frozen heat with the same utilization
+/// weight, so its search routes candidate trees the way admission does.
+inline constexpr f64 kEdgeUtilizationWeight = 8.0;
+inline constexpr f64 kEdgeQueueWeight = 2.0;
 
 class CongestionMonitor {
  public:
@@ -126,6 +128,8 @@ class CongestionMonitor {
     u64 busy_at_last = 0;
   };
 
+  /// Snapshot entry of the link behind (node, port), or of its reverse;
+  /// null for a link added after the monitor was built.
   const LinkCongestion* stats_for(NodeId node, u32 port, bool reverse) const;
   const Link* link_for(NodeId node, u32 port, bool reverse) const;
   f64 trace_ewma_of(const Link* link, u32 trace) const;
@@ -138,8 +142,6 @@ class CongestionMonitor {
   std::vector<bool> hot_;  ///< above hot_threshold at last sample
   SimTime last_sample_ps_ = 0;
   bool sampled_ = false;
-  /// Stable Link* -> unidirectional index map (links never move).
-  std::unordered_map<const Link*, u32> index_of_;
   SimTime armed_until_ = 0;  ///< furthest scheduled sample (idempotent arm)
 };
 

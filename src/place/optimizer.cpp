@@ -5,14 +5,11 @@
 #include <limits>
 
 #include "common/rng.hpp"
+#include "net/telemetry.hpp"
 
 namespace flare::place {
 
 namespace {
-
-/// Mirrors CongestionMonitorOptions::utilization_weight so the search
-/// routes candidate trees the same way the live admission embedder does.
-constexpr f64 kUtilWeight = 8.0;
 
 /// Metropolis guard: temperatures decay geometrically toward 0; below this
 /// any uphill move is simply rejected (exp underflows anyway).
@@ -57,7 +54,7 @@ PlacementOptimizer::PlacementOptimizer(net::Network& net, OptimizerOptions opt)
         worst = std::max(worst, heat_[link->index()]);
       }
     }
-    return 1.0 + kUtilWeight * worst;
+    return 1.0 + net::kEdgeUtilizationWeight * worst;
   });
 }
 

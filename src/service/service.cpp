@@ -27,8 +27,7 @@ constexpr u64 kPlaceTid = 2000000;
 // shared calendar.
 
 AllreduceService::AllreduceService(net::Network& net, ServiceOptions opt)
-    : net_(net), opt_(opt), manager_(net),
-      cache_(opt.tree_cache_capacity) {
+    : net_(net), opt_(opt), manager_(net) {
   // Slots freed by a completed job re-trigger admission for queued jobs.
   manager_.set_release_listener([this](u32) {
     if (!queue_.empty()) schedule_drain();
@@ -127,7 +126,7 @@ u32 AllreduceService::submit(JobSpec spec) {
 
   bool feasible = false;
   if (try_admit(job, &feasible)) return job;
-  if (!feasible && opt_.max_root_candidates == 0) {
+  if (!feasible) {
     // Every root was tried and every reachable tree crosses a switch with a
     // zero memory partition: this job can NEVER run in-network.  Queueing
     // it would deadlock the FIFO (nothing will ever release a slot for it).
@@ -155,10 +154,6 @@ bool AllreduceService::try_admit(u32 job, bool* feasible) {
   if (opt_.monitor != nullptr) opt_.monitor->sample();
   std::vector<net::NodeId> roots =
       candidate_roots(opt_.root_policy, net_, rr_cursor_++, opt_.monitor);
-  if (opt_.max_root_candidates > 0 &&
-      roots.size() > opt_.max_root_candidates) {
-    roots.resize(opt_.max_root_candidates);
-  }
   coll::CollectiveOptions desc = descriptor_for(spec);
   // Explicitly in-network: the fallback decision is the SERVICE's (queue
   // first, host plane only on timeout/overflow), not the Communicator's.

@@ -43,8 +43,6 @@ namespace flare::service {
 
 struct ServiceOptions {
   RootPolicy root_policy = RootPolicy::kLeastLoaded;
-  /// Cap on roots tried per admission round; 0 = every switch.
-  u32 max_root_candidates = 0;
   /// Bounded wait queue: arrivals beyond this fall back immediately.
   u32 max_queue = 64;
   /// How long a job may wait for switch slots before falling back.
@@ -53,7 +51,6 @@ struct ServiceOptions {
   /// When false, jobs that cannot run in-network are rejected instead of
   /// falling back to the host ring.
   bool fallback_to_host = true;
-  std::size_t tree_cache_capacity = 64;
   /// Host-side fault tolerance applied to every job this service runs
   /// (see coll::Tuning::retransmit_timeout_ps).  0 leaves each job's own
   /// descriptor untouched (fault handling off unless the tenant set it).

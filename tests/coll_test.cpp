@@ -15,7 +15,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "coll/communicator.hpp"
 #include "coll/flare_sparse.hpp"
@@ -243,7 +242,8 @@ std::optional<ReductionTree> oracle_tree(
   std::vector<u32> dist(n, std::numeric_limits<u32>::max());
   std::vector<f64> cost(n, std::numeric_limits<f64>::infinity());
   std::vector<net::NodeId> pred(n, net::kInvalidNode);
-  std::vector<u32> pred_port(n, UINT32_MAX);
+  std::vector<u32> pred_port(n, UINT32_MAX);  ///< port at the child
+  std::vector<u32> pred_via(n, UINT32_MAX);   ///< port at the parent
   dist[root] = 0;
   cost[root] = 0.0;
   std::unordered_map<net::NodeId, net::Switch*> switch_by_id;
@@ -253,6 +253,15 @@ std::optional<ReductionTree> oracle_tree(
   const auto back_port = [&net](net::NodeId from, net::NodeId to) {
     for (const net::PortPeer& back : net.neighbors(from)) {
       if (back.peer == to) return back.my_port;
+    }
+    return UINT32_MAX;
+  };
+  // The port of `from` whose link runs back over `to`'s port `via`.
+  const auto reverse_port = [&net](net::NodeId from, net::NodeId to,
+                                   u32 via) {
+    const net::Link* back = net.node(to).port(via).reverse();
+    for (const net::PortPeer& pp : net.neighbors(from)) {
+      if (&net.node(from).port(pp.my_port) == back) return pp.my_port;
     }
     return UINT32_MAX;
   };
@@ -269,7 +278,8 @@ std::optional<ReductionTree> oracle_tree(
         dist[pp.peer] = dist[cur] + 1;
         cost[pp.peer] = cost[cur] + 1.0;
         pred[pp.peer] = cur;
-        pred_port[pp.peer] = back_port(pp.peer, cur);
+        pred_port[pp.peer] = reverse_port(pp.peer, cur, pp.my_port);
+        pred_via[pp.peer] = pp.my_port;
         frontier.push_back(pp.peer);
       }
     }
@@ -288,7 +298,8 @@ std::optional<ReductionTree> oracle_tree(
         cost[pp.peer] = ncost;
         dist[pp.peer] = dist[cur] + 1;
         pred[pp.peer] = cur;
-        pred_port[pp.peer] = back_port(pp.peer, cur);
+        pred_port[pp.peer] = reverse_port(pp.peer, cur, pp.my_port);
+        pred_via[pp.peer] = pp.my_port;
         frontier.insert({ncost, pp.peer});
       }
     }
@@ -311,14 +322,13 @@ std::optional<ReductionTree> oracle_tree(
     }
   }
   if (!needed[root]) return std::nullopt;
-  // Needed child switches of `id`, in adjacency order, parallel links
-  // deduplicated: (child, port at id).
+  // Needed child switches of `id`, in adjacency order, each at the
+  // parallel link the search reached it over: (child, port at id).
   const auto children = [&](net::NodeId id) {
     std::vector<std::pair<net::NodeId, u32>> out;
-    std::unordered_set<net::NodeId> seen;
     for (const net::PortPeer& pp : net.neighbors(id)) {
       if (switch_by_id.contains(pp.peer) && pred[pp.peer] == id &&
-          needed[pp.peer] && seen.insert(pp.peer).second) {
+          pred_via[pp.peer] == pp.my_port && needed[pp.peer]) {
         out.emplace_back(pp.peer, pp.my_port);
       }
     }
@@ -641,6 +651,53 @@ TEST(EmbeddingOracle, ProviderCalledOncePerPortAndGraphFollowsTopology) {
   expect_same_tree(mgr.compute_tree(parts, extra.id()),
                    oracle_tree(net, parts, extra.id(), nullptr),
                    "extra root, BFS");
+}
+
+/// Parallel links: a radix-8 fat tree over 16 hosts wires every leaf to
+/// each spine twice.  With the FIRST leaf0-spine0 link down, the search
+/// reaches leaf0 over the second one, and the tree must be wired over that
+/// same link at both ends — a tree over the dead first link would lose
+/// every packet leaf0 exchanges with spine0.
+TEST(EmbeddingOracle, ChildWiredOverTheParallelLinkTheSearchUsed) {
+  net::Network net;
+  net::FatTreeSpec spec;
+  spec.hosts = 16;
+  spec.radix = 8;
+  const auto topo = net::build_fat_tree(net, spec);
+  net::Switch* leaf0 = topo.leaves[0];
+  net::Switch* spine0 = topo.spines[0];
+  u32 first = UINT32_MAX;
+  u32 parallel = 0;
+  for (const net::PortPeer& pp : net.neighbors(leaf0->id())) {
+    if (pp.peer != spine0->id()) continue;
+    if (first == UINT32_MAX) first = leaf0->port(pp.my_port).index() / 2;
+    ++parallel;
+  }
+  ASSERT_EQ(parallel, 2u);
+  net.set_duplex_up(first, false);
+
+  NetworkManager mgr(net);
+  const auto tree = mgr.compute_tree(topo.hosts, spine0->id());
+  ASSERT_TRUE(tree.has_value());
+  // A dead tree would leave the allreduce below retrying forever.
+  ASSERT_TRUE(tree_alive(net, *tree));
+  expect_same_tree(tree, oracle_tree(net, topo.hosts, spine0->id(), nullptr),
+                   "spine0 root");
+
+  // A recovery-armed allreduce over that tree never needs its recovery
+  // (the timeout is well above the healthy completion time).
+  CollectiveOptions desc = dense_desc(64_KiB, core::DType::kInt32);
+  desc.retransmit_timeout_ps = 100 * kPsPerUs;
+  Communicator comm(net, topo.hosts,
+                    CommunicatorConfig{nullptr, nullptr, {spine0->id()},
+                                       nullptr});
+  const CollectiveResult res = comm.run(desc);
+  EXPECT_TRUE(res.ok);
+  EXPECT_TRUE(res.in_network);
+  EXPECT_FALSE(res.fell_back);
+  EXPECT_EQ(res.max_abs_err, 0.0);
+  EXPECT_EQ(res.retransmits, 0u);
+  EXPECT_EQ(res.recoveries, 0u);
 }
 
 // ---------------------------------------------------------- tree cache ----

@@ -299,6 +299,60 @@ TEST(SwitchReduce, SingleSwitchAggregatesAndMulticasts) {
   EXPECT_EQ(sw->reduce_packets_processed(), 3u);
 }
 
+// A retransmitted copy of a block the switch already completed: with fault
+// recovery off nothing is cached, so the engine drops it as a duplicate and
+// the hosts see no second result; with recovery on the switch replays the
+// cached result and every host gets exactly one more copy.
+TEST(SwitchReduce, ReplayOnlyWhenRecoveryArmed) {
+  for (const bool recovery : {false, true}) {
+    Network net;
+    auto topo = build_single_switch(net, 3);
+    Switch* sw = topo.leaves[0];
+
+    ReduceRole role;
+    role.is_root = true;
+    role.service_bps = 100e9;
+    role.child_ports = {0, 1, 2};
+    core::AllreduceConfig cfg = reduce_cfg(1, 3);
+    cfg.fault_recovery = recovery;
+    ASSERT_TRUE(sw->install_reduce(cfg, std::move(role)));
+
+    std::vector<u32> got(3, 0);
+    for (u32 h = 0; h < 3; ++h) {
+      topo.hosts[h]->set_reduce_handler(1, [&got, h](const core::Packet& pkt) {
+        got[h] += 1;
+        const auto* vals = static_cast<const i32*>(core::dense_payload(pkt));
+        EXPECT_EQ(vals[0], 1 + 2 + 3);
+      });
+    }
+    const auto send = [&](u32 h, u16 extra_flags) {
+      std::vector<i32> data(8, static_cast<i32>(h + 1));
+      core::Packet p = core::make_dense_packet(1, 0, static_cast<u16>(h),
+                                               data.data(), 8,
+                                               core::DType::kInt32);
+      p.hdr.flags |= extra_flags;
+      NetPacket np;
+      np.kind = PacketKind::kReduceUp;
+      np.allreduce_id = 1;
+      np.wire_bytes = p.wire_bytes();
+      np.reduce = std::make_shared<const core::Packet>(std::move(p));
+      topo.hosts[h]->send(std::move(np));
+    };
+    for (u32 h = 0; h < 3; ++h) send(h, 0);
+    net.sim().run();
+    for (u32 h = 0; h < 3; ++h) ASSERT_EQ(got[h], 1u) << h;
+
+    send(1, core::kFlagRetransmit);  // host 1 timed out on block 0
+    net.sim().run();
+    const u32 want = recovery ? 2u : 1u;
+    for (u32 h = 0; h < 3; ++h) {
+      EXPECT_EQ(got[h], want) << "recovery=" << recovery << " host " << h;
+    }
+    EXPECT_EQ(sw->engine_stats(1)->duplicates_dropped, recovery ? 0u : 1u)
+        << "recovery=" << recovery;
+  }
+}
+
 TEST(SwitchReduce, AdmissionControlLimitsInstalls) {
   Network net;
   auto topo = build_single_switch(net, 2, LinkSpec{}, /*max_allreduces=*/2);

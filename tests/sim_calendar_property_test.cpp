@@ -1,22 +1,24 @@
-// Property test proving the two calendar backends interchangeable.
+// Property tests for the simulator's bucketed event calendar.
 //
 // The Simulator contract is a single total order — dispatch by
-// (time, insertion-seq), FIFO among same-time events — regardless of which
-// calendar implements it.  The binary heap is the obviously-correct
-// reference; the bucketed calendar queue earns its place only by matching
-// it event for event.  Each property below runs the SAME seeded random
-// workload on both backends and demands identical dispatch traces and
-// clocks, across the patterns that stress the bucket machinery:
+// (time, insertion-seq), FIFO among same-time events.  The calendar is
+// checked two ways, on every geometry in kGeometries (tiny rings, deep and
+// shallow wheel stacks, no wheels at all):
 //
-//   * same-timestamp bursts (FIFO tie-break inside one bucket),
-//   * zero/short delays scheduled from inside events (insertion into the
-//     bucket currently being drained),
-//   * far-future delays beyond the ring horizon (overflow heap + cursor
-//     jump over empty buckets),
-//   * run_until windows and stop() cutting a window short.
+//   * directly, against an ordered-set reference: seeded interleavings of
+//     push, peek and pop, with pushes at or after the last popped time —
+//     same-timestamp ties, pushes into the bucket being drained, ring,
+//     wheel and far-future delays;
+//   * through the Simulator, against the stable sort of the schedule:
+//     static storms, run_until windows, far-future storms spanning every
+//     wheel level, same-time FIFO with in-event scheduling, and stop()
+//     cutting a window short.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -25,9 +27,6 @@
 namespace flare::sim {
 namespace {
 
-constexpr CalendarKind kBackends[] = {CalendarKind::kBinaryHeap,
-                                      CalendarKind::kBucketed};
-
 /// One dispatched event, as observed from inside its callback.
 struct TraceEntry {
   SimTime at = 0;
@@ -35,9 +34,28 @@ struct TraceEntry {
   bool operator==(const TraceEntry&) const = default;
 };
 
-// Delay classes chosen against the bucket geometry (2^16 ps buckets,
+// CalendarOptions geometries chosen to stress every tier boundary: a tiny
+// ring that pushes most events into the wheels, deep wheel stacks, a
+// single coarse level, and levels=0 (ring + far heap only — the
+// pre-hierarchy shape).
+const CalendarOptions kGeometries[] = {
+    {},                // the default: 1024 x 2^16, two 64-slot levels
+    {64, 12, 8, 3},    // tiny ring, three shallow wheels
+    {256, 14, 16, 1},  // one coarse level only
+    {1024, 16, 64, 0}, // no wheels: ring + far heap
+    {4, 4, 2, 4},      // pathological: everything overflows somewhere
+};
+
+std::string describe(const CalendarOptions& g) {
+  return "buckets=" + std::to_string(g.bucket_count) +
+         " width=" + std::to_string(g.bucket_width_log2) +
+         " slots=" + std::to_string(g.coarse_slot_count) +
+         " levels=" + std::to_string(g.coarse_levels);
+}
+
+// Delay classes chosen against the default geometry (2^16 ps buckets,
 // 1024-slot ring => 2^26 ps horizon): same-bucket, near-future ring,
-// and past-the-horizon overflow-heap events all occur in every storm.
+// and past-the-horizon events all occur in every storm.
 SimTime random_delay(Rng& rng) {
   switch (rng.uniform_u64(4)) {
     case 0: return 0;                                   // same timestamp
@@ -47,117 +65,140 @@ SimTime random_delay(Rng& rng) {
   }
 }
 
-/// Static storm: pre-schedule `n` events (no rescheduling), run to empty,
-/// return the dispatch trace.
-std::vector<TraceEntry> static_storm(CalendarKind kind, u64 seed, u64 n,
-                                     const CalendarOptions& opts = {}) {
+/// The storm schedule for `seed`, and its model dispatch order: the stable
+/// sort by time (stable = insertion order breaks ties).
+std::vector<TraceEntry> storm_schedule(u64 seed, u64 n) {
   Rng rng(seed);
-  Simulator sim(kind, opts);
-  std::vector<TraceEntry> trace;
-  trace.reserve(n);
-  for (u64 id = 0; id < n; ++id) {
-    const SimTime at = random_delay(rng);
-    sim.schedule_at(at, [&trace, &sim, id] {
+  std::vector<TraceEntry> schedule;
+  for (u64 id = 0; id < n; ++id) schedule.push_back({random_delay(rng), id});
+  return schedule;
+}
+
+std::vector<TraceEntry> stable_sorted(std::vector<TraceEntry> v) {
+  std::stable_sort(
+      v.begin(), v.end(),
+      [](const TraceEntry& a, const TraceEntry& b) { return a.at < b.at; });
+  return v;
+}
+
+/// Schedules every entry on `sim`, recording dispatches into `trace`.
+void schedule_all(Simulator& sim, const std::vector<TraceEntry>& schedule,
+                  std::vector<TraceEntry>& trace) {
+  for (const TraceEntry& e : schedule) {
+    sim.schedule_at(e.at, [&trace, &sim, id = e.id] {
       trace.push_back({sim.now(), id});
     });
   }
-  sim.run();
-  return trace;
 }
 
-/// Cascading storm: every event may schedule further events (with the
-/// backend's own Rng stream, seeded identically), exercising insertion
-/// into the currently-draining bucket.
-std::vector<TraceEntry> cascade_storm(CalendarKind kind, u64 seed, u64 roots,
-                                      u64 budget,
-                                      const CalendarOptions& opts = {}) {
-  auto rng = std::make_shared<Rng>(seed);
-  auto remaining = std::make_shared<u64>(budget);
-  Simulator sim(kind, opts);
-  std::vector<TraceEntry> trace;
-  u64 next_id = 0;
-
-  std::function<void(u64)> fire = [&, rng, remaining](u64 id) {
-    trace.push_back({sim.now(), id});
-    const u64 children = rng->uniform_u64(3);  // 0..2 follow-ups
-    for (u64 c = 0; c < children && *remaining > 0; ++c) {
-      *remaining -= 1;
-      const u64 child_id = next_id++;
-      sim.schedule_after(random_delay(*rng),
-                         [&fire, child_id] { fire(child_id); });
-    }
-  };
-  for (u64 r = 0; r < roots; ++r) {
-    const u64 id = next_id++;
-    const SimTime at = random_delay(*rng);
-    sim.schedule_at(at, [&fire, id] { fire(id); });
-  }
-  sim.run();
-  return trace;
-}
-
-/// Windowed storm: dispatch the same pre-scheduled storm through a series
-/// of random run_until windows (including empty ones), recording the clock
-/// after every window.
-struct WindowedResult {
-  std::vector<TraceEntry> trace;
-  std::vector<SimTime> clocks;
-  bool operator==(const WindowedResult&) const = default;
-};
-
-WindowedResult windowed_storm(CalendarKind kind, u64 seed, u64 n,
-                              const CalendarOptions& opts = {}) {
-  Rng rng(seed);
-  Simulator sim(kind, opts);
-  WindowedResult r;
-  for (u64 id = 0; id < n; ++id) {
-    const SimTime at = random_delay(rng);
-    sim.schedule_at(at, [&r, &sim, id] {
-      r.trace.push_back({sim.now(), id});
-    });
-  }
-  SimTime until = 0;
-  while (!sim.empty()) {
-    until += rng.uniform_u64(u64{1} << 22);
-    sim.run_until(until);
-    r.clocks.push_back(sim.now());
-  }
-  sim.run();
-  r.clocks.push_back(sim.now());
-  return r;
-}
-
-/// Model check on the static storm: the trace must be the stable sort of
-/// the schedule by time (stable = insertion order breaks ties).
-TEST(CalendarProperty, StaticStormMatchesStableSortModel) {
-  for (const CalendarKind kind : kBackends) {
-    for (u64 seed = 1; seed <= 5; ++seed) {
+/// The calendar alone against an ordered-set reference: seeded
+/// interleavings of push, peek and pop.  Every push lies at or after the
+/// last popped time (the Simulator's schedule-in-the-future contract);
+/// about a third land in the bucket the cursor is draining — same
+/// timestamp included — and the rest spread over the ring, the wheels and
+/// the far heap.  Every peeked and popped (at, seq) must be the
+/// reference's minimum.
+TEST(CalendarProperty, BucketCalendarMatchesOrderedSetOracle) {
+  for (const CalendarOptions& g : kGeometries) {
+    const SimTime bucket_mask = (SimTime{1} << g.bucket_width_log2) - 1;
+    for (u64 seed = 70; seed <= 73; ++seed) {
       Rng rng(seed);
-      std::vector<TraceEntry> expect;
-      for (u64 id = 0; id < 500; ++id) expect.push_back({random_delay(rng), id});
-      std::stable_sort(
-          expect.begin(), expect.end(),
-          [](const TraceEntry& a, const TraceEntry& b) { return a.at < b.at; });
-      EXPECT_EQ(static_storm(kind, seed, 500), expect)
-          << "backend=" << static_cast<int>(kind) << " seed=" << seed;
+      detail::BucketCalendar cal(g);
+      std::set<std::pair<SimTime, u64>> ref;
+      u64 next_seq = 0;
+      SimTime last = 0;  // time of the last popped event
+      u64 pops = 0;
+      u64 draining_pushes = 0;
+      const auto push = [&] {
+        SimTime at = last;
+        switch (rng.uniform_u64(6)) {
+          case 0:  // same timestamp as the last pop
+            break;
+          case 1:  // same bucket as the last pop, at or after it
+            at += rng.uniform_u64((last | bucket_mask) - last + 1);
+            break;
+          case 2: at += rng.uniform_u64(u64{1} << 18); break;
+          case 3: at += rng.uniform_u64(u64{1} << 26); break;
+          case 4: at += rng.uniform_u64(u64{1} << 34); break;
+          default: at += rng.uniform_u64(u64{1} << 42); break;
+        }
+        if (pops > 0 && (at | bucket_mask) == (last | bucket_mask)) {
+          ++draining_pushes;
+        }
+        cal.push(Event{at, next_seq, [] {}});
+        ref.emplace(at, next_seq);
+        ++next_seq;
+      };
+      const auto pop = [&] {
+        Event ev = cal.pop();
+        ASSERT_EQ(std::make_pair(ev.at, ev.seq), *ref.begin())
+            << describe(g) << " seed=" << seed << " pop " << pops;
+        ASSERT_GE(ev.at, last);
+        last = ev.at;
+        ref.erase(ref.begin());
+        ++pops;
+      };
+      for (u64 step = 0; step < 4000; ++step) {
+        const u64 op = rng.uniform_u64(10);
+        if (ref.empty() || op < 5) {
+          push();
+        } else if (op < 7) {
+          const Event* front = cal.peek();
+          ASSERT_NE(front, nullptr);
+          ASSERT_EQ(std::make_pair(front->at, front->seq), *ref.begin())
+              << describe(g) << " seed=" << seed << " peek";
+        } else {
+          pop();
+        }
+        ASSERT_EQ(cal.size(), ref.size());
+      }
+      while (!ref.empty()) pop();
+      EXPECT_TRUE(cal.empty());
+      EXPECT_EQ(cal.peek(), nullptr);
+      EXPECT_GT(draining_pushes, 100u) << describe(g) << " seed=" << seed;
     }
   }
 }
 
-TEST(CalendarProperty, BackendsAgreeOnCascadingStorms) {
-  for (u64 seed = 10; seed <= 14; ++seed) {
-    const auto heap = cascade_storm(CalendarKind::kBinaryHeap, seed, 64, 2000);
-    const auto bucket = cascade_storm(CalendarKind::kBucketed, seed, 64, 2000);
-    ASSERT_GT(heap.size(), 64u) << "storm fizzled; seed=" << seed;
-    EXPECT_EQ(heap, bucket) << "seed=" << seed;
+/// Model check on static storms: the trace must be the stable sort of the
+/// schedule by time, on every geometry.
+TEST(CalendarProperty, StaticStormMatchesStableSortModel) {
+  for (const CalendarOptions& g : kGeometries) {
+    for (u64 seed = 1; seed <= 5; ++seed) {
+      const std::vector<TraceEntry> schedule = storm_schedule(seed, 500);
+      Simulator sim(g);
+      std::vector<TraceEntry> trace;
+      schedule_all(sim, schedule, trace);
+      sim.run();
+      EXPECT_EQ(trace, stable_sorted(schedule))
+          << describe(g) << " seed=" << seed;
+    }
   }
 }
 
-TEST(CalendarProperty, BackendsAgreeOnRunUntilWindows) {
-  for (u64 seed = 20; seed <= 24; ++seed) {
-    const auto heap = windowed_storm(CalendarKind::kBinaryHeap, seed, 400);
-    const auto bucket = windowed_storm(CalendarKind::kBucketed, seed, 400);
-    EXPECT_EQ(heap, bucket) << "seed=" << seed;
+/// The same storms dispatched through random run_until windows (empty ones
+/// included): the trace is still the stable-sort model, and after every
+/// window the clock reads exactly its `until`.
+TEST(CalendarProperty, RunUntilWindowsMatchStableSortModel) {
+  for (const CalendarOptions& g : kGeometries) {
+    for (u64 seed = 20; seed <= 22; ++seed) {
+      const std::vector<TraceEntry> schedule = storm_schedule(seed, 400);
+      Simulator sim(g);
+      std::vector<TraceEntry> trace;
+      schedule_all(sim, schedule, trace);
+      Rng rng(seed + 1000);
+      SimTime until = 0;
+      while (!sim.empty()) {
+        until += rng.uniform_u64(u64{1} << 22);
+        sim.run_until(until);
+        ASSERT_EQ(sim.now(), until) << describe(g) << " seed=" << seed;
+        if (!trace.empty()) {
+          ASSERT_LE(trace.back().at, until);
+        }
+      }
+      EXPECT_EQ(trace, stable_sorted(schedule))
+          << describe(g) << " seed=" << seed;
+    }
   }
 }
 
@@ -165,92 +206,24 @@ TEST(CalendarProperty, BackendsAgreeOnRunUntilWindows) {
 /// with same-time follow-ups scheduled from inside events (which must
 /// dispatch after every already-queued event of that timestamp).
 TEST(CalendarProperty, SameTimeFifoWithInEventScheduling) {
-  for (const CalendarKind kind : kBackends) {
-    Simulator sim(kind);
-    std::vector<u64> order;
-    u64 next = 0;
-    for (int i = 0; i < 20; ++i) {
-      const u64 id = next++;
-      sim.schedule_at(100, [&, id] {
-        order.push_back(id);
-        if (id < 5) {
-          // Zero-delay follow-up: same timestamp, larger seq => must run
-          // after ALL twenty pre-scheduled events.
-          const u64 child = next++;
-          sim.schedule_after(0, [&order, child] { order.push_back(child); });
-        }
-      });
-    }
-    sim.run();
-    ASSERT_EQ(order.size(), 25u);
-    for (u64 i = 0; i < 25; ++i) {
-      EXPECT_EQ(order[i], i) << "backend=" << static_cast<int>(kind);
-    }
+  Simulator sim;
+  std::vector<u64> order;
+  u64 next = 0;
+  for (int i = 0; i < 20; ++i) {
+    const u64 id = next++;
+    sim.schedule_at(100, [&, id] {
+      order.push_back(id);
+      if (id < 5) {
+        // Zero-delay follow-up: same timestamp, larger seq => must run
+        // after ALL twenty pre-scheduled events.
+        const u64 child = next++;
+        sim.schedule_after(0, [&order, child] { order.push_back(child); });
+      }
+    });
   }
-}
-
-TEST(CalendarProperty, StopAgreesAcrossBackends) {
-  for (const CalendarKind kind : kBackends) {
-    Simulator sim(kind);
-    std::vector<u64> order;
-    for (u64 id = 0; id < 10; ++id) {
-      sim.schedule_at(id * 1000, [&, id] {
-        order.push_back(id);
-        if (id == 4) sim.stop();
-      });
-    }
-    sim.run_until(8000);
-    EXPECT_EQ(order.size(), 5u) << "backend=" << static_cast<int>(kind);
-    EXPECT_EQ(sim.now(), 4000u);  // stop() pins the clock at the last event
-    sim.run();
-    EXPECT_EQ(order.size(), 10u);
-    EXPECT_EQ(sim.now(), 9000u);
-  }
-}
-
-// ------------------------------------------------ geometry sweep --------
-//
-// CalendarOptions geometries chosen to stress every tier boundary: a tiny
-// ring that pushes most events into the wheels, deep wheel stacks, a
-// single coarse level, and levels=0 (ring + far heap only — the
-// pre-hierarchy shape).  Every geometry must dispatch the identical total
-// order the binary heap does.
-const CalendarOptions kGeometries[] = {
-    {},                // the default: 1024 x 2^16, two 64-slot levels
-    {64, 12, 8, 3},    // tiny ring, three shallow wheels
-    {256, 14, 16, 1},  // one coarse level only
-    {1024, 16, 64, 0}, // no wheels: ring + far heap
-    {4, 4, 2, 4},      // pathological: everything overflows somewhere
-};
-
-TEST(CalendarProperty, GeometriesMatchHeapOnStaticStorms) {
-  for (const CalendarOptions& g : kGeometries) {
-    for (u64 seed = 30; seed <= 32; ++seed) {
-      EXPECT_EQ(static_storm(CalendarKind::kBucketed, seed, 500, g),
-                static_storm(CalendarKind::kBinaryHeap, seed, 500))
-          << "buckets=" << g.bucket_count << " width=" << g.bucket_width_log2
-          << " slots=" << g.coarse_slot_count << " levels=" << g.coarse_levels
-          << " seed=" << seed;
-    }
-  }
-}
-
-TEST(CalendarProperty, GeometriesMatchHeapOnCascadingStorms) {
-  for (const CalendarOptions& g : kGeometries) {
-    const auto bucket = cascade_storm(CalendarKind::kBucketed, 40, 64, 2000, g);
-    const auto heap = cascade_storm(CalendarKind::kBinaryHeap, 40, 64, 2000);
-    ASSERT_GT(heap.size(), 64u);
-    EXPECT_EQ(bucket, heap)
-        << "buckets=" << g.bucket_count << " levels=" << g.coarse_levels;
-  }
-}
-
-TEST(CalendarProperty, GeometriesMatchHeapOnRunUntilWindows) {
-  for (const CalendarOptions& g : kGeometries) {
-    EXPECT_EQ(windowed_storm(CalendarKind::kBucketed, 50, 400, g),
-              windowed_storm(CalendarKind::kBinaryHeap, 50, 400))
-        << "buckets=" << g.bucket_count << " levels=" << g.coarse_levels;
-  }
+  sim.run();
+  ASSERT_EQ(order.size(), 25u);
+  for (u64 i = 0; i < 25; ++i) EXPECT_EQ(order[i], i);
 }
 
 /// Far-future storm spanning MULTIPLE coarse wheels: with a 64-bucket 2^12
@@ -277,73 +250,62 @@ TEST(CalendarProperty, FarFutureStormSpansMultipleCoarseWheels) {
       }
       expect.push_back({at, id});
     }
-    Simulator sim(CalendarKind::kBucketed, g);
+    Simulator sim(g);
     std::vector<TraceEntry> trace;
-    for (const TraceEntry& e : expect) {
-      sim.schedule_at(e.at, [&trace, &sim, id = e.id] {
-        trace.push_back({sim.now(), id});
-      });
-    }
-    std::stable_sort(
-        expect.begin(), expect.end(),
-        [](const TraceEntry& a, const TraceEntry& b) { return a.at < b.at; });
+    schedule_all(sim, expect, trace);
     sim.run();
-    EXPECT_EQ(trace, expect) << "seed=" << seed;
+    EXPECT_EQ(trace, stable_sorted(expect)) << "seed=" << seed;
   }
-}
-
-/// stop() agreement across geometries: cutting a run short mid-bucket must
-/// leave the same clock and the same dispatched prefix of the stable-sort
-/// model on every geometry.
-TEST(CalendarProperty, StopAgreesAcrossGeometries) {
-  for (const CalendarOptions& g : kGeometries) {
-    Simulator sim(CalendarKind::kBucketed, g);
-    std::vector<u64> order;
-    for (u64 id = 0; id < 10; ++id) {
-      sim.schedule_at(id * 100000, [&, id] {
-        order.push_back(id);
-        if (id == 4) sim.stop();
-      });
-    }
-    sim.run_until(800000);
-    EXPECT_EQ(order.size(), 5u) << "buckets=" << g.bucket_count;
-    EXPECT_EQ(sim.now(), 400000u);
-    sim.run();
-    EXPECT_EQ(order.size(), 10u);
-    EXPECT_EQ(sim.now(), 900000u);
-  }
-}
-
-TEST(CalendarPropertyDeathTest, RejectsNonPowerOfTwoGeometry) {
-  EXPECT_DEATH(Simulator(CalendarKind::kBucketed,
-                         CalendarOptions{1000, 16, 64, 2}),
-               "bucket_count");
-  EXPECT_DEATH(Simulator(CalendarKind::kBucketed,
-                         CalendarOptions{1024, 16, 63, 2}),
-               "coarse_slot_count");
-  EXPECT_DEATH(Simulator(CalendarKind::kBucketed,
-                         CalendarOptions{1024, 0, 64, 2}),
-               "bucket_width_log2");
 }
 
 /// The far-future overflow path alone: everything beyond the ring horizon,
 /// forcing the cursor jump and the horizon migration.
 TEST(CalendarProperty, FarFutureOnlyStorm) {
-  for (const CalendarKind kind : kBackends) {
-    Rng rng(99);
-    Simulator sim(kind);
-    std::vector<SimTime> times;
-    std::vector<SimTime> seen;
-    for (int i = 0; i < 200; ++i) {
-      // All far beyond the 2^26 ps ring horizon, widely spread.
-      const SimTime at = (u64{1} << 27) + rng.uniform_u64(u64{1} << 40);
-      times.push_back(at);
-      sim.schedule_at(at, [&seen, &sim] { seen.push_back(sim.now()); });
-    }
-    std::sort(times.begin(), times.end());
-    sim.run();
-    EXPECT_EQ(seen, times) << "backend=" << static_cast<int>(kind);
+  Rng rng(99);
+  Simulator sim;
+  std::vector<SimTime> times;
+  std::vector<SimTime> seen;
+  for (int i = 0; i < 200; ++i) {
+    // All far beyond the 2^26 ps ring horizon, widely spread.
+    const SimTime at = (u64{1} << 27) + rng.uniform_u64(u64{1} << 40);
+    times.push_back(at);
+    sim.schedule_at(at, [&seen, &sim] { seen.push_back(sim.now()); });
   }
+  std::sort(times.begin(), times.end());
+  sim.run();
+  EXPECT_EQ(seen, times);
+}
+
+/// stop() cutting a run short mid-bucket must leave the clock on the
+/// stopping event and dispatch the same prefix of the stable-sort model on
+/// every geometry, at link-scale and at wheel-scale event spacing.
+TEST(CalendarProperty, StopAgreesAcrossGeometries) {
+  for (const CalendarOptions& g : kGeometries) {
+    for (const SimTime spacing : {SimTime{1000}, SimTime{100000}}) {
+      Simulator sim(g);
+      std::vector<u64> order;
+      for (u64 id = 0; id < 10; ++id) {
+        sim.schedule_at(id * spacing, [&, id] {
+          order.push_back(id);
+          if (id == 4) sim.stop();
+        });
+      }
+      sim.run_until(8 * spacing);
+      EXPECT_EQ(order.size(), 5u) << describe(g);
+      EXPECT_EQ(sim.now(), 4 * spacing);  // stop() pins the clock
+      sim.run();
+      EXPECT_EQ(order.size(), 10u);
+      EXPECT_EQ(sim.now(), 9 * spacing);
+    }
+  }
+}
+
+TEST(CalendarPropertyDeathTest, RejectsNonPowerOfTwoGeometry) {
+  EXPECT_DEATH(Simulator(CalendarOptions{1000, 16, 64, 2}), "bucket_count");
+  EXPECT_DEATH(Simulator(CalendarOptions{1024, 16, 63, 2}),
+               "coarse_slot_count");
+  EXPECT_DEATH(Simulator(CalendarOptions{1024, 0, 64, 2}),
+               "bucket_width_log2");
 }
 
 }  // namespace
