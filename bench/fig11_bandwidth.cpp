@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
                               512_KiB, 1_MiB}
            : std::vector<u64>{1_KiB, 4_KiB, 16_KiB, 64_KiB, 256_KiB,
                               512_KiB};
+  bool all_correct = true;
   std::printf("\n  Aggregation bandwidth (Tbps), int32 sum, P=16:\n");
   std::printf("  %-8s", "size");
   for (const Alg& a : kAlgs) std::printf(" %10s", a.name);
@@ -84,6 +85,7 @@ int main(int argc, char** argv) {
       opt.rounds = static_cast<u32>(
           std::max<u64>(1, 256_KiB / std::max<u64>(z, 1)));
       const auto res = pspin::run_single_switch(opt);
+      all_correct = all_correct && res.correct;
       const f64 bw = res.goodput_bps * cluster_scale(opt);
       std::printf(" %10s%s", bench::fmt_tbps(bw).c_str(),
                   res.correct ? "" : "!");
@@ -106,6 +108,7 @@ int main(int argc, char** argv) {
     opt.dtype = t;
     opt.policy = core::AggPolicy::kSingleBuffer;
     const auto res = pspin::run_single_switch(opt);
+    all_correct = all_correct && res.correct;
     const f64 bw = res.goodput_bps * cluster_scale(opt);
     const f64 flare_eps = model::elements_per_second(bw, t);
     const f64 sw_eps = model::switchml_elements_per_second(t);
@@ -124,5 +127,9 @@ int main(int argc, char** argv) {
               "SHARP); narrower integers raise\n  Flare's element rate via "
               "SIMD while SwitchML is flat and float-less.\n");
   report.emit();
+  if (!all_correct) {
+    std::printf("  a result check FAILED -> FAIL\n");
+    return 1;
+  }
   return 0;
 }

@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
                       "512-core unit and 1 MiB data)");
   }
 
+  bool all_correct = true;
   std::printf("  %-10s %-7s | %11s %14s %14s %9s\n", "storage", "density",
               "Band (Tbps)", "BlockMem(KiB)", "ExtraTraf(%)", "check");
   for (const bool hash : {true, false}) {
@@ -59,6 +60,7 @@ int main(int argc, char** argv) {
       // (at 1% a single operation is only a few KiB of wire data).
       opt.rounds = static_cast<u32>(std::max(1.0, 0.20 / density));
       const auto res = pspin::run_single_switch(opt);
+      all_correct = all_correct && res.correct;
       const f64 bw = res.goodput_bps * 64.0 / opt.unit.n_clusters;
       std::printf("  %-10s %5.0f%% | %11s %14s %14.1f %9s\n",
                   hash ? "hash" : "array", density * 100,
@@ -79,5 +81,9 @@ int main(int argc, char** argv) {
               "never spills, with memory growing as 1/density (prohibitive "
               "at 1%%).\n");
   report.emit();
+  if (!all_correct) {
+    std::printf("  a result check FAILED -> FAIL\n");
+    return 1;
+  }
   return 0;
 }

@@ -24,7 +24,7 @@ namespace {
 /// Runs one block of `data` through a single Flare switch with `op`.
 core::TypedBuffer reduce_once(const std::vector<core::TypedBuffer>& data,
                               const core::ReduceOp& op, core::DType dtype) {
-  sim::Simulator sim;
+  sim::Simulator sim(pspin::kCalendarOptions);
   pspin::PsPinConfig cfg;
   cfg.n_clusters = 4;
   cfg.charge_cold_start = false;

@@ -40,7 +40,7 @@ SingleSwitchResult run_single_switch(const SingleSwitchOptions& opt) {
   FLARE_ASSERT(opt.hosts >= 1 && opt.rounds >= 1);
   FLARE_ASSERT(!opt.sparse || opt.op == core::OpKind::kSum);
 
-  sim::Simulator sim;
+  sim::Simulator sim(kCalendarOptions);
   PsPinUnit unit(sim, opt.unit);
 
   const u32 esize = core::dtype_size(opt.dtype);
@@ -322,6 +322,8 @@ SingleSwitchResult run_single_switch(const SingleSwitchOptions& opt) {
   res.cs_wait_mean_cycles = st.cs_wait_cycles.mean();
   res.mean_queued_packets = unit.queued_packets().time_weighted_mean(sim.now());
   res.emitted_wire_bytes = unit.emitted().bytes;
+  res.calendar_drain_inserts = sim.drain_inserts();
+  res.calendar_drain_shifted = sim.drain_shifted_events();
 
   const bool all_done = res.blocks_completed == total_blocks &&
                         blocks_checked == total_blocks;
@@ -330,7 +332,11 @@ SingleSwitchResult run_single_switch(const SingleSwitchOptions& opt) {
   if (opt.sparse) {
     u64 ideal_pairs = 0;
     for (u32 b = 0; b < num_blocks; ++b) {
-      ideal_pairs += workload::union_index_count(sspec, opt.hosts, b);
+      workload::IndexBitmap all(span);
+      for (u32 h = 0; h < opt.hosts; ++h) {
+        for (const core::SparsePair& p : pairs_by[h][b]) all.insert(p.index);
+      }
+      ideal_pairs += all.count();
     }
     ideal_pairs *= opt.rounds;
     if (ideal_pairs > 0) {

@@ -76,6 +76,10 @@ struct SingleSwitchResult {
   /// Order-independent hash over (block id, result payload bits): equal
   /// checksums <=> bitwise-identical aggregation results (F3 checks).
   u64 result_checksum = 0;
+  /// Event-calendar cost: pushes into the bucket being drained, and the
+  /// events those inserts shifted (sim::Simulator::drain_inserts).
+  u64 calendar_drain_inserts = 0;
+  u64 calendar_drain_shifted = 0;
 };
 
 SingleSwitchResult run_single_switch(const SingleSwitchOptions& opt);

@@ -19,8 +19,15 @@
 #include "common/stats.hpp"
 #include "core/allreduce_engine.hpp"
 #include "pspin/config.hpp"
+#include "sim/simulator.hpp"
 
 namespace flare::pspin {
+
+/// Calendar geometry for a simulator ticking in PsPIN core cycles: 16-cycle
+/// ring slots, so even a 64-cycle DMA step spans four of them and pushes
+/// into the bucket being drained shift a handful of events, not a whole
+/// run's worth (the picosecond defaults put a run in one or two slots).
+inline constexpr sim::CalendarOptions kCalendarOptions{.bucket_width_log2 = 4};
 
 class PsPinUnit final : public core::EngineHost {
  public:

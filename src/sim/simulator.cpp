@@ -64,6 +64,8 @@ void BucketCalendar::place(Event&& ev) {
           std::upper_bound(b.begin() + static_cast<std::ptrdiff_t>(pos_),
                            b.end(), ev.at,
                            [](SimTime t, const Event& e) { return t < e.at; });
+      drain_inserts_ += 1;
+      drain_shifted_ += static_cast<u64>(b.end() - it);
       b.insert(it, std::move(ev));
       return;
     }

@@ -45,11 +45,15 @@ namespace flare::sim {
 /// with masks on the event-dispatch hot path — and the constructor
 /// FLARE_ASSERTs on anything else.
 ///
-/// Defaults: 1024 buckets x 2^16 ps cover a 67 us ring horizon (link
-/// serialization + propagation delays), and two 64-slot coarse wheels on
-/// top extend the structured horizon to ~0.27 s (timeouts, monitor
-/// periods, flow finish times, placement rounds, fault repairs) before
-/// anything touches the far-future overflow heap.
+/// The defaults are sized for the network simulator's picosecond tick:
+/// 1024 buckets x 2^16 ps cover a 67 us ring horizon (link serialization +
+/// propagation delays), and two 64-slot coarse wheels on top extend the
+/// structured horizon to ~0.27 s (timeouts, monitor periods, flow finish
+/// times, placement rounds, fault repairs) before anything touches the
+/// far-future overflow heap.  Users that tick in core cycles take
+/// pspin::kCalendarOptions instead: with the defaults one 2^16-tick slot
+/// would hold a whole PsPIN run, and every push would land in the bucket
+/// being drained.  The geometry never changes dispatch order, only cost.
 struct CalendarOptions {
   u32 bucket_count = 1024;      ///< ring slots (power of two)
   u32 bucket_width_log2 = 16;   ///< log2 ticks per ring slot
@@ -199,6 +203,12 @@ class BucketCalendar {
   bool empty() const { return size_ == 0; }
   u64 size() const { return size_; }
 
+  /// Pushes that landed in the bucket being drained, and the events each
+  /// such insert shifted (events queued behind it, summed).  Their ratio
+  /// says whether the geometry fits the caller's tick.
+  u64 drain_inserts() const { return drain_inserts_; }
+  u64 drain_shifted_events() const { return drain_shifted_; }
+
  private:
   u64 slot_of(SimTime at) const { return at >> width_log2_; }
   u64 ring_index(u64 slot) const { return slot & ring_mask_; }
@@ -231,6 +241,8 @@ class BucketCalendar {
   std::size_t pos_ = 0;     ///< dispatch position within the current bucket
   bool sorted_ = false;     ///< current bucket sorted and being drained
   u64 size_ = 0;
+  u64 drain_inserts_ = 0;
+  u64 drain_shifted_ = 0;
 };
 
 }  // namespace detail
@@ -272,6 +284,9 @@ class Simulator {
   bool empty() const { return calendar_.empty(); }
   u64 pending_events() const { return calendar_.size(); }
   u64 total_events_run() const { return events_run_; }
+  /// Calendar cost counters (see detail::BucketCalendar::drain_inserts).
+  u64 drain_inserts() const { return calendar_.drain_inserts(); }
+  u64 drain_shifted_events() const { return calendar_.drain_shifted_events(); }
 
 #if FLARE_VALIDATE_ENABLED
   /// Validator-test backdoor: enqueues an event BYPASSING the

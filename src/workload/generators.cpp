@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/assert.hpp"
 
@@ -23,17 +22,12 @@ std::vector<core::TypedBuffer> make_dense_data(u32 hosts, std::size_t elems,
 
 namespace {
 
-/// Draws `count` distinct indices in [0, span) into `out` (which may
+/// Draws `count` distinct indices in [0, span) into `seen` (which may
 /// already contain indices that must not be duplicated).
-void draw_distinct(Rng& rng, u32 span, std::size_t count,
-                   std::unordered_set<u32>& seen, std::vector<u32>& out) {
-  FLARE_ASSERT(seen.size() + count <= span);
+void draw_distinct(Rng& rng, u32 span, std::size_t count, IndexBitmap& seen) {
+  FLARE_ASSERT(seen.count() + count <= span);
   while (count > 0) {
-    const u32 idx = static_cast<u32>(rng.uniform_u64(span));
-    if (seen.insert(idx).second) {
-      out.push_back(idx);
-      count -= 1;
-    }
+    if (seen.insert(static_cast<u32>(rng.uniform_u64(span)))) count -= 1;
   }
 }
 
@@ -53,19 +47,19 @@ std::vector<u32> sparse_block_indices(const SparseSpec& spec, u32 host,
   const std::size_t shared_count = static_cast<std::size_t>(
       static_cast<f64>(nnz) * std::clamp(spec.overlap, 0.0, 1.0) + 0.5);
 
-  std::unordered_set<u32> seen;
-  std::vector<u32> out;
-  out.reserve(nnz);
+  IndexBitmap seen(spec.span);
   if (shared_count > 0) {
     // The shared pool is drawn from a block-only RNG: every host picks the
     // same pool, modelling "important coordinates are important everywhere".
     Rng shared_rng(derive_seed(derive_seed(spec.seed, 0xC0DE), block));
-    draw_distinct(shared_rng, spec.span, shared_count, seen, out);
+    draw_distinct(shared_rng, spec.span, shared_count, seen);
   }
   if (nnz > shared_count) {
-    draw_distinct(host_rng, spec.span, nnz - shared_count, seen, out);
+    draw_distinct(host_rng, spec.span, nnz - shared_count, seen);
   }
-  std::sort(out.begin(), out.end());
+  std::vector<u32> out;
+  out.reserve(nnz);
+  seen.append_sorted(out);
   return out;
 }
 
@@ -95,11 +89,11 @@ core::TypedBuffer densify(const SparseSpec& spec,
 }
 
 std::size_t union_index_count(const SparseSpec& spec, u32 hosts, u32 block) {
-  std::unordered_set<u32> all;
+  IndexBitmap all(spec.span);
   for (u32 h = 0; h < hosts; ++h) {
     for (const u32 i : sparse_block_indices(spec, h, block)) all.insert(i);
   }
-  return all.size();
+  return all.count();
 }
 
 }  // namespace flare::workload

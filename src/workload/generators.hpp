@@ -11,6 +11,7 @@
 // block-shared set, the rest privately per host.
 #pragma once
 
+#include <bit>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -29,6 +30,39 @@ struct SparseSpec {
   f64 overlap = 0.0;      ///< fraction of non-zeros drawn from a shared set
   core::DType dtype = core::DType::kFloat32;
   u64 seed = 1;
+};
+
+/// A set of indices in [0, span), one bit each: O(1) insert, and a word
+/// scan yields the members in ascending order.
+class IndexBitmap {
+ public:
+  explicit IndexBitmap(u32 span) : words_((span + 63) / 64, 0) {}
+
+  /// Adds `i`; true when it was not yet a member.
+  bool insert(u32 i) {
+    u64& w = words_[i >> 6];
+    const u64 bit = u64{1} << (i & 63);
+    const bool fresh = (w & bit) == 0;
+    w |= bit;
+    return fresh;
+  }
+  std::size_t count() const {
+    std::size_t n = 0;
+    for (const u64 w : words_) n += static_cast<std::size_t>(std::popcount(w));
+    return n;
+  }
+  /// Appends the members to `out` in ascending order.
+  void append_sorted(std::vector<u32>& out) const {
+    for (std::size_t k = 0; k < words_.size(); ++k) {
+      for (u64 w = words_[k]; w != 0; w &= w - 1) {
+        out.push_back(static_cast<u32>(k * 64) +
+                      static_cast<u32>(std::countr_zero(w)));
+      }
+    }
+  }
+
+ private:
+  std::vector<u64> words_;
 };
 
 /// The sorted, unique non-zero indices of `host`'s data in `block`.

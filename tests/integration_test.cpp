@@ -38,7 +38,7 @@ TEST_P(LossRecovery, DroppedPacketRecoveredByRetransmission) {
   // Host 2's packet is "lost" (never injected); its retransmission arrives
   // after a timeout.  Meanwhile an unrelated duplicate of host 0 also shows
   // up.  The block must complete exactly once with the right value.
-  sim::Simulator sim;
+  sim::Simulator sim(pspin::kCalendarOptions);
   pspin::PsPinConfig ucfg;
   ucfg.n_clusters = 2;
   ucfg.cores_per_cluster = 4;
@@ -86,7 +86,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, LossRecovery,
 
 TEST(Integration, DuplicateStormIsIdempotent) {
   // Every packet retransmitted 4x in a burst: still exactly one result.
-  sim::Simulator sim;
+  sim::Simulator sim(pspin::kCalendarOptions);
   pspin::PsPinConfig ucfg;
   ucfg.n_clusters = 2;
   ucfg.cores_per_cluster = 4;
@@ -123,7 +123,7 @@ TEST(Integration, DuplicateStormIsIdempotent) {
 TEST(Integration, ConcurrentAllreducesShareTheUnit) {
   // Two tenants with different dtypes/policies interleave packets on one
   // switch (Section 4: per-allreduce ids and partitioned state).
-  sim::Simulator sim;
+  sim::Simulator sim(pspin::kCalendarOptions);
   pspin::PsPinConfig ucfg;
   ucfg.n_clusters = 4;
   ucfg.charge_cold_start = false;

@@ -38,7 +38,7 @@ core::Packet test_packet(u32 id, u32 block, u16 child) {
 }
 
 TEST(PsPinUnit, UnmatchedPacketsCounted) {
-  sim::Simulator sim;
+  sim::Simulator sim(kCalendarOptions);
   PsPinUnit unit(sim, tiny_unit());
   unit.inject(test_packet(99, 0, 0), 0);
   sim.run();
@@ -48,7 +48,7 @@ TEST(PsPinUnit, UnmatchedPacketsCounted) {
 
 TEST(PsPinUnit, HierarchicalFcfsPinsBlockToSubset) {
   // All packets of one block must run on the S cores of its subset.
-  sim::Simulator sim;
+  sim::Simulator sim(kCalendarOptions);
   PsPinConfig cfg = tiny_unit(/*clusters=*/2, /*cores=*/4, /*subset=*/2);
   PsPinUnit unit(sim, cfg);
   unit.install(simple_allreduce(1, 16, core::AggPolicy::kTree));
@@ -62,7 +62,7 @@ TEST(PsPinUnit, HierarchicalFcfsPinsBlockToSubset) {
 }
 
 TEST(PsPinUnit, GlobalFcfsSpreadsAcrossAllCores) {
-  sim::Simulator sim;
+  sim::Simulator sim(kCalendarOptions);
   PsPinConfig cfg = tiny_unit();
   cfg.scheduler = SchedulerKind::kGlobalFcfs;
   PsPinUnit unit(sim, cfg);
@@ -77,7 +77,7 @@ TEST(PsPinUnit, GlobalFcfsSpreadsAcrossAllCores) {
 }
 
 TEST(PsPinUnit, DifferentBlocksUseDifferentSubsets) {
-  sim::Simulator sim;
+  sim::Simulator sim(kCalendarOptions);
   PsPinConfig cfg = tiny_unit(2, 4, 2);  // 4 subsets
   PsPinUnit unit(sim, cfg);
   unit.install(simple_allreduce(1, 1, core::AggPolicy::kSingleBuffer));
@@ -90,7 +90,7 @@ TEST(PsPinUnit, DifferentBlocksUseDifferentSubsets) {
 }
 
 TEST(PsPinUnit, L2OverflowDropsPackets) {
-  sim::Simulator sim;
+  sim::Simulator sim(kCalendarOptions);
   PsPinConfig cfg = tiny_unit(1, 1, 1);  // one slow core
   cfg.l2_packet_bytes = 4 * 1088;       // room for ~4 wire packets
   PsPinUnit unit(sim, cfg);
@@ -104,7 +104,7 @@ TEST(PsPinUnit, L2OverflowDropsPackets) {
 
 TEST(PsPinUnit, ColdStartDelaysFirstHandlerOnly) {
   auto run_with = [](bool cold) {
-    sim::Simulator sim;
+    sim::Simulator sim(kCalendarOptions);
     PsPinConfig cfg = tiny_unit(1, 1, 1);
     cfg.charge_cold_start = cold;
     PsPinUnit unit(sim, cfg);
@@ -124,7 +124,7 @@ TEST(PsPinUnit, ColdStartDelaysFirstHandlerOnly) {
 }
 
 TEST(PsPinUnit, BusyCoresGaugeReturnsToZero) {
-  sim::Simulator sim;
+  sim::Simulator sim(kCalendarOptions);
   PsPinUnit unit(sim, tiny_unit());
   unit.install(simple_allreduce(1, 8, core::AggPolicy::kMultiBuffer));
   for (u32 h = 0; h < 8; ++h)
@@ -136,7 +136,7 @@ TEST(PsPinUnit, BusyCoresGaugeReturnsToZero) {
 }
 
 TEST(PsPinUnit, DuplicateInstallAborts) {
-  sim::Simulator sim;
+  sim::Simulator sim(kCalendarOptions);
   PsPinUnit unit(sim, tiny_unit());
   unit.install(simple_allreduce(1, 2, core::AggPolicy::kTree));
   EXPECT_DEATH(unit.install(simple_allreduce(1, 2, core::AggPolicy::kTree)),
@@ -314,6 +314,21 @@ TEST(Experiment, InputBufferStaysWithinL2) {
   ASSERT_TRUE(res.correct);
   EXPECT_LE(res.input_buffer_hwm_bytes, opt.unit.l2_packet_bytes);
   EXPECT_EQ(res.drops, 0u);
+}
+
+TEST(Experiment, CalendarGeometryFitsTheCycleTick) {
+  // The paper's unit (512 cores) with 16 hosts reducing 1 MiB int32: with
+  // the picosecond default geometry a push into the bucket being drained
+  // shifts ~475 queued events on average; kCalendarOptions' 16-cycle slots
+  // keep that to ~16.
+  SingleSwitchOptions opt;
+  opt.hosts = 16;
+  const auto res = run_single_switch(opt);
+  ASSERT_TRUE(res.correct);
+  ASSERT_GT(res.calendar_drain_inserts, 0u);
+  EXPECT_LT(res.calendar_drain_shifted, 32 * res.calendar_drain_inserts)
+      << res.calendar_drain_shifted << " events shifted by "
+      << res.calendar_drain_inserts << " inserts";
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "pspin/unit.hpp"
 #include "sim/simulator.hpp"
 
 namespace flare::sim {
@@ -40,6 +41,7 @@ struct TraceEntry {
 // pre-hierarchy shape).
 const CalendarOptions kGeometries[] = {
     {},                // the default: 1024 x 2^16, two 64-slot levels
+    pspin::kCalendarOptions,  // PsPIN's cycle tick: 1024 x 2^4
     {64, 12, 8, 3},    // tiny ring, three shallow wheels
     {256, 14, 16, 1},  // one coarse level only
     {1024, 16, 64, 0}, // no wheels: ring + far heap

@@ -2,6 +2,8 @@
 // gradient-trace structure (bucket top-k, layer scales), arrival processes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 #include "workload/arrivals.hpp"
@@ -72,6 +74,90 @@ TEST(SparseGen, DensifyPlacesValues) {
   EXPECT_DOUBLE_EQ(buf.get_as_f64(3), 1.5);
   EXPECT_DOUBLE_EQ(buf.get_as_f64(97), -2.0);
   EXPECT_DOUBLE_EQ(buf.get_as_f64(0), 0.0);
+}
+
+/// sparse_block_indices as first written: an unordered_set of drawn
+/// indices and a final std::sort.  The generator must make the same RNG
+/// draws and accept/reject decisions and return the same vector.
+std::vector<u32> oracle_indices(const SparseSpec& spec, u32 host, u32 block) {
+  const f64 expected =
+      static_cast<f64>(spec.span) * std::clamp(spec.density, 0.0, 1.0);
+  Rng host_rng(derive_seed(derive_seed(spec.seed, 0x5A5A + host), block));
+  const f64 jitter = 1.0 + 0.25 * (host_rng.uniform() - 0.5);
+  std::size_t nnz = static_cast<std::size_t>(expected * jitter + 0.5);
+  nnz = std::min<std::size_t>(nnz, spec.span);
+  const std::size_t shared_count = static_cast<std::size_t>(
+      static_cast<f64>(nnz) * std::clamp(spec.overlap, 0.0, 1.0) + 0.5);
+  std::unordered_set<u32> seen;
+  std::vector<u32> out;
+  auto draw = [&](Rng& rng, std::size_t count) {
+    while (count > 0) {
+      const u32 idx = static_cast<u32>(rng.uniform_u64(spec.span));
+      if (seen.insert(idx).second) {
+        out.push_back(idx);
+        count -= 1;
+      }
+    }
+  };
+  if (shared_count > 0) {
+    Rng shared_rng(derive_seed(derive_seed(spec.seed, 0xC0DE), block));
+    draw(shared_rng, shared_count);
+  }
+  if (nnz > shared_count) draw(host_rng, nnz - shared_count);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<core::SparsePair> oracle_pairs(const SparseSpec& spec, u32 host,
+                                           u32 block) {
+  Rng val_rng(derive_seed(derive_seed(spec.seed, 0x7A1Eu + host), block));
+  std::vector<core::SparsePair> out;
+  for (const u32 i : oracle_indices(spec, host, block)) {
+    f64 v = val_rng.uniform(-8.0, 8.0);
+    if (!core::dtype_is_float(spec.dtype)) v = std::floor(v);
+    if (v == 0.0) v = 1.0;
+    out.push_back({i, v});
+  }
+  return out;
+}
+
+TEST(SparseGen, MatchesSetAndSortOracle) {
+  // Spans off the 64-bit word grid (and span 1), full density, and every
+  // overlap regime from private to fully shared.
+  const u32 spans[] = {1, 7, 63, 64, 65, 100, 1000, 1280, 1281, 4099};
+  const f64 densities[] = {0.01, 0.1, 0.5, 1.0};
+  const f64 overlaps[] = {0.0, 0.5, 1.0};
+  const core::DType dtypes[] = {core::DType::kFloat32, core::DType::kInt32};
+  u64 seed = 100;
+  for (const u32 span : spans) {
+    for (const f64 density : densities) {
+      for (const f64 overlap : overlaps) {
+        for (const core::DType dtype : dtypes) {
+          const SparseSpec spec{span, density, overlap, dtype, ++seed};
+          const u32 hosts = 4;
+          for (u32 b = 0; b < 3; ++b) {
+            std::unordered_set<u32> all;
+            for (u32 h = 0; h < hosts; ++h) {
+              const auto want = oracle_indices(spec, h, b);
+              ASSERT_EQ(sparse_block_indices(spec, h, b), want)
+                  << "span " << span << " density " << density
+                  << " overlap " << overlap << " host " << h << " block "
+                  << b;
+              const auto got = sparse_block_pairs(spec, h, b);
+              const auto want_pairs = oracle_pairs(spec, h, b);
+              ASSERT_EQ(got.size(), want_pairs.size());
+              for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].index, want_pairs[i].index);
+                ASSERT_EQ(got[i].value, want_pairs[i].value);
+              }
+              all.insert(want.begin(), want.end());
+            }
+            EXPECT_EQ(union_index_count(spec, hosts, b), all.size());
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GradientTrace, DensityMatchesBucketTopK) {
