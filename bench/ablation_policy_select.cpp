@@ -43,6 +43,7 @@ int main() {
   bench::print_title("Ablation",
                      "policy auto-selection vs per-size winner (Tbps)");
   bench::JsonReport report("ablation_policy_select");
+  bool all_correct = true;
   std::printf("  %-8s |", "size");
   for (const Alg& a : kAlgs) std::printf(" %8s-mod %8s-sim |", a.name, a.name);
   std::printf(" %10s\n", "selected");
@@ -65,6 +66,7 @@ int main() {
       opt.rounds = z <= 64_KiB ? 4 : 1;
       opt.seed = 3;
       const auto res = pspin::run_single_switch(opt);
+      all_correct = all_correct && res.correct;
       const f64 simulated = res.goodput_bps * 64.0 / opt.unit.n_clusters;
       std::printf(" %12s %12s |", bench::fmt_tbps(modeled).c_str(),
                   bench::fmt_tbps(simulated).c_str());
@@ -73,5 +75,9 @@ int main() {
     report.add("selected_" + bench::fmt_size(z), selected_name(z));
   }
   report.emit();
+  if (!all_correct) {
+    std::printf("  a result check FAILED -> FAIL\n");
+    return 1;
+  }
   return 0;
 }

@@ -30,6 +30,7 @@ int main() {
   bench::print_title("Ablation",
                      "staggered sending & hierarchical FCFS scheduling");
   bench::JsonReport report("ablation_staggered");
+  bool all_correct = true;
 
   std::printf("  (a) staggered vs aligned sending, single buffer "
               "(Tbps, scaled to 64 clusters):\n");
@@ -42,6 +43,7 @@ int main() {
     pspin::SingleSwitchOptions ali = base(z);
     ali.order = core::SendOrder::kAligned;
     const auto ra = pspin::run_single_switch(ali);
+    all_correct = all_correct && rs.correct && ra.correct;
     const f64 scale = 64.0 / 16.0;
     std::printf("  %-8s %12s %12s %8.2fx | %14.0f %14.0f\n",
                 bench::fmt_size(z).c_str(),
@@ -63,6 +65,7 @@ int main() {
     pspin::SingleSwitchOptions glob = base(z);
     glob.unit.scheduler = pspin::SchedulerKind::kGlobalFcfs;
     const auto rg = pspin::run_single_switch(glob);
+    all_correct = all_correct && rh.correct && rg.correct;
     const f64 scale = 64.0 / 16.0;
     std::printf("  %-8s %14s %14s %8.2fx\n", bench::fmt_size(z).c_str(),
                 bench::fmt_tbps(rh.goodput_bps * scale).c_str(),
@@ -72,5 +75,9 @@ int main() {
                rh.goodput_bps / rg.goodput_bps);
   }
   report.emit();
+  if (!all_correct) {
+    std::printf("  a result check FAILED -> FAIL\n");
+    return 1;
+  }
   return 0;
 }

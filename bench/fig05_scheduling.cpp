@@ -47,6 +47,7 @@ int main() {
               "buffer, 64 KiB, P=8):\n");
   std::printf("  %-22s %14s %16s %14s\n", "send order", "goodput Tbps",
               "input buf KiB", "cs wait cyc");
+  bool all_correct = true;
   for (const core::SendOrder order :
        {core::SendOrder::kAligned, core::SendOrder::kStaggered}) {
     pspin::SingleSwitchOptions opt;
@@ -59,6 +60,7 @@ int main() {
     opt.order = order;
     opt.arrivals = workload::ArrivalKind::kDeterministic;
     const auto res = pspin::run_single_switch(opt);
+    all_correct = all_correct && res.correct;
     std::printf("  %-22s %14s %16s %14.0f   %s\n",
                 order == core::SendOrder::kAligned ? "aligned" : "staggered",
                 bench::fmt_tbps(res.goodput_bps).c_str(),
@@ -74,5 +76,9 @@ int main() {
   std::printf("  -> staggered sending raises delta_c: no critical-section "
               "spin, smaller queues.\n");
   report.emit();
+  if (!all_correct) {
+    std::printf("  a result check FAILED -> FAIL\n");
+    return 1;
+  }
   return 0;
 }

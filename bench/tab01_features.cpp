@@ -66,6 +66,7 @@ int main() {
 
   std::printf("\n  Live capability demonstrations on the PsPIN switch:\n");
   bench::JsonReport report("tab01_features");
+  bool all_correct = true;
 
   // F1: custom operator (saturating int8 sum, a quantized-training op no
   // fixed-function or RMT switch offers).
@@ -78,6 +79,7 @@ int main() {
                 static_cast<unsigned long long>(res.blocks_completed),
                 res.correct ? "OK" : "FAILED");
     report.add("f1_custom_op_ok", res.correct);
+    all_correct = all_correct && res.correct;
   }
 
   // F2: sparse allreduce with irregular per-host non-zeros.
@@ -91,6 +93,7 @@ int main() {
                 "(extra traffic %.1f%%)\n",
                 res.correct ? "OK" : "FAILED", res.extra_traffic_pct);
     report.add("f2_sparse_ok", res.correct);
+    all_correct = all_correct && res.correct;
   }
 
   // F3: bitwise reproducibility across different arrival orders.
@@ -110,7 +113,12 @@ int main() {
                 static_cast<unsigned long long>(a.result_checksum),
                 static_cast<unsigned long long>(b.result_checksum));
     report.add("f3_reproducible", reproducible);
+    all_correct = all_correct && reproducible;
   }
   report.emit();
+  if (!all_correct) {
+    std::printf("  a result check FAILED -> FAIL\n");
+    return 1;
+  }
   return 0;
 }

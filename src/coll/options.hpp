@@ -135,8 +135,11 @@ struct CollectiveOptions : Tuning {
   /// message.  Staggered sending matters inside the PsPIN unit (src/pspin).
   core::SendOrder order = core::SendOrder::kAligned;
   bool reproducible = false;
-  /// 0 -> auto-select by size (Section 6.4 thresholds).
+  /// Switch aggregation policy, used only when `auto_policy` is false
+  /// (and never for reproducible runs, which always use the tree).
   core::AggPolicy policy = core::AggPolicy::kSingleBuffer;
+  /// Pick the policy by size with the Section 6.4 thresholds
+  /// (core::select_policy); `policy` is ignored.
   bool auto_policy = true;
 
   // --- sparse extras (Section 7); `sparse.pairs != nullptr` selects the

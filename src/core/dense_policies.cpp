@@ -23,6 +23,9 @@ Packet make_result_packet(const AllreduceConfig& cfg, u32 block_id,
   return out;
 }
 
+constexpr const char* kOpenBlocksAtReset =
+    "reset with open blocks: packets still in flight";
+
 }  // namespace
 
 // ===========================================================================
@@ -31,10 +34,8 @@ Packet make_result_packet(const AllreduceConfig& cfg, u32 block_id,
 
 SingleBufferAggregator::SingleBufferAggregator(EngineHost& host,
                                                const AllreduceConfig& cfg,
-                                               BufferPool& pool)
-    : host_(host), cfg_(cfg), pool_(pool) {
-  FLARE_ASSERT(cfg_.num_children >= 1);
-}
+                                               u64 pool_capacity_bytes)
+    : AllreduceEngine(host, cfg, pool_capacity_bytes) {}
 
 SingleBufferAggregator::Block& SingleBufferAggregator::get_block(
     u32 block_id, SimTime now) {
@@ -51,51 +52,22 @@ SingleBufferAggregator::Block& SingleBufferAggregator::get_block(
   return blk;
 }
 
-void SingleBufferAggregator::reset() {
-  FLARE_ASSERT_MSG(blocks_.empty(),
-                   "reset with open blocks: packets still in flight");
-  completed_.clear();
-}
-
-void SingleBufferAggregator::process(std::shared_ptr<const Packet> pkt,
-                                     HandlerDone done) {
-  stats_.packets_in += 1;
-  stats_.payload_bytes_in += pkt->payload_bytes();
-  const auto& costs = host_.costs();
-  const u64 pre = costs.handler_dispatch_cycles + costs.dma_packet_cycles;
-  host_.simulator().schedule_after(
-      pre, [this, pkt = std::move(pkt), done = std::move(done)]() mutable {
-        on_ready(std::move(pkt), std::move(done));
-      });
+void SingleBufferAggregator::on_reset() {
+  FLARE_ASSERT_MSG(blocks_.empty(), kOpenBlocksAtReset);
 }
 
 void SingleBufferAggregator::on_ready(std::shared_ptr<const Packet> pkt,
-                                      HandlerDone done) {
-  sim::Simulator& sim = host_.simulator();
-  const SimTime now = sim.now();
+                                      HandlerDone done, SimTime now) {
   const u32 bid = pkt->hdr.block_id;
-  if (completed_.contains(bid)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
-    return;
-  }
   Block& blk = get_block(bid, now);
-  if (!blk.bitmap.mark(pkt->hdr.child_index)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
+  if (drop_duplicate(!blk.bitmap.mark(pkt->hdr.child_index), done, now)) {
     return;
   }
-  if (!blk.cs_busy) {
-    blk.cs_busy = true;
-    in_critical_section(bid, std::move(pkt), now, now, std::move(done));
-  } else {
-    blk.waiters.emplace_back(
-        [this, bid, pkt = std::move(pkt), now,
-         done = std::move(done)](SimTime start) mutable {
-          in_critical_section(bid, std::move(pkt), now, start,
-                              std::move(done));
-        });
-  }
+  blk.lock.acquire(now, [this, bid, pkt = std::move(pkt), now,
+                         done = std::move(done)](SimTime start,
+                                                 u32) mutable {
+    in_critical_section(bid, std::move(pkt), now, start, std::move(done));
+  });
 }
 
 void SingleBufferAggregator::in_critical_section(
@@ -128,35 +100,23 @@ void SingleBufferAggregator::in_critical_section(
   if (blk.aggregated == cfg_.num_children) {
     FLARE_ASSERT(blk.bitmap.complete());
     end += costs.emit_packet_cycles;
-    Packet out =
-        make_result_packet(cfg_, block_id, std::move(blk.buf), elems);
-    stats_.packets_emitted += 1;
-    stats_.bytes_emitted += out.wire_bytes();
-    stats_.blocks_completed += 1;
-    stats_.block_latency.add(static_cast<f64>(end - blk.first_arrival));
-    stats_.block_mem_bytes.add(static_cast<f64>(cfg_.dense_block_bytes()));
-    blk.completed = true;
-    host_.emit(std::move(out), end);
+    emit_packet(make_result_packet(cfg_, block_id, std::move(blk.buf), elems),
+                end);
+    complete_block(block_id, end, blk.first_arrival,
+                   static_cast<f64>(cfg_.dense_block_bytes()));
   }
   leave_cs(block_id, end);
   done(end);
 }
 
 void SingleBufferAggregator::leave_cs(u32 block_id, SimTime end) {
-  host_.simulator().schedule_at(end, [this, block_id] {
+  schedule(end, [this, block_id] {
     auto it = blocks_.find(block_id);
     if (it == blocks_.end()) return;
-    Block& blk = it->second;
-    if (!blk.waiters.empty()) {
-      auto fn = std::move(blk.waiters.front());
-      blk.waiters.pop_front();
-      fn(host_.simulator().now());  // lock hands over; cs_busy stays true
-      return;
-    }
-    blk.cs_busy = false;
-    if (blk.completed) {
-      pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
-      completed_.insert(block_id);
+    const SimTime now = host_.simulator().now();
+    if (it->second.lock.release(0, now)) return;  // the lock hands over
+    if (completed_.contains(block_id)) {
+      pool_.release(cfg_.dense_block_bytes(), now);
       blocks_.erase(it);
     }
   });
@@ -168,9 +128,8 @@ void SingleBufferAggregator::leave_cs(u32 block_id, SimTime end) {
 
 MultiBufferAggregator::MultiBufferAggregator(EngineHost& host,
                                              const AllreduceConfig& cfg,
-                                             BufferPool& pool)
-    : host_(host), cfg_(cfg), pool_(pool) {
-  FLARE_ASSERT(cfg_.num_children >= 1);
+                                             u64 pool_capacity_bytes)
+    : AllreduceEngine(host, cfg, pool_capacity_bytes) {
   FLARE_ASSERT_MSG(cfg_.num_buffers >= 1, "multi-buffer needs B >= 1");
 }
 
@@ -184,6 +143,7 @@ MultiBufferAggregator::Block& MultiBufferAggregator::get_block(u32 block_id,
   if (inserted) {
     blk.bitmap.reset(cfg_.num_children);
     blk.subs.resize(cfg_.num_buffers);
+    blk.slots.reset(cfg_.num_buffers);
     blk.first_arrival = now;
   }
   cached_block_id_ = block_id;
@@ -191,54 +151,23 @@ MultiBufferAggregator::Block& MultiBufferAggregator::get_block(u32 block_id,
   return blk;
 }
 
-void MultiBufferAggregator::reset() {
-  FLARE_ASSERT_MSG(blocks_.empty(),
-                   "reset with open blocks: packets still in flight");
+void MultiBufferAggregator::on_reset() {
+  FLARE_ASSERT_MSG(blocks_.empty(), kOpenBlocksAtReset);
   cached_block_ = nullptr;
-  completed_.clear();
-}
-
-void MultiBufferAggregator::process(std::shared_ptr<const Packet> pkt,
-                                    HandlerDone done) {
-  stats_.packets_in += 1;
-  stats_.payload_bytes_in += pkt->payload_bytes();
-  const auto& costs = host_.costs();
-  const u64 pre = costs.handler_dispatch_cycles + costs.dma_packet_cycles;
-  host_.simulator().schedule_after(
-      pre, [this, pkt = std::move(pkt), done = std::move(done)]() mutable {
-        on_ready(std::move(pkt), std::move(done));
-      });
 }
 
 void MultiBufferAggregator::on_ready(std::shared_ptr<const Packet> pkt,
-                                     HandlerDone done) {
-  sim::Simulator& sim = host_.simulator();
-  const SimTime now = sim.now();
+                                     HandlerDone done, SimTime now) {
   const u32 bid = pkt->hdr.block_id;
-  if (completed_.contains(bid)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
-    return;
-  }
   Block& blk = get_block(bid, now);
-  if (!blk.bitmap.mark(pkt->hdr.child_index)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
+  if (drop_duplicate(!blk.bitmap.mark(pkt->hdr.child_index), done, now)) {
     return;
   }
-  for (u32 i = 0; i < blk.subs.size(); ++i) {
-    if (!blk.subs[i].busy) {
-      blk.subs[i].busy = true;
-      run_on_sub(bid, i, std::move(pkt), now, now, std::move(done));
-      return;
-    }
-  }
-  // All B buffers locked: spin until one frees (FIFO hand-over).
-  blk.waiters.emplace_back(
-      [this, bid, pkt = std::move(pkt), now,
-       done = std::move(done)](SimTime start, u32 sub) mutable {
-        run_on_sub(bid, sub, std::move(pkt), now, start, std::move(done));
-      });
+  blk.slots.acquire(now, [this, bid, pkt = std::move(pkt), now,
+                          done = std::move(done)](SimTime start,
+                                                  u32 sub) mutable {
+    run_on_sub(bid, sub, std::move(pkt), now, start, std::move(done));
+  });
 }
 
 void MultiBufferAggregator::run_on_sub(u32 block_id, u32 sub_idx,
@@ -276,32 +205,19 @@ void MultiBufferAggregator::run_on_sub(u32 block_id, u32 sub_idx,
     work = costs.aggregation_cycles(cfg_.dtype, elems, cfg_.remote_l1);
   }
 
-  const SimTime end = start + work;
-  host_.simulator().schedule_at(
-      end, [this, block_id, sub_idx, done = std::move(done)]() mutable {
-        Block& b = block_ref(block_id);
-        b.aggregated += 1;
-        const SimTime now = host_.simulator().now();
-        if (b.aggregated == cfg_.num_children && b.bitmap.complete()) {
-          // Causally-last handler: fold the partial buffers (Section 6.2).
-          merge_chain(block_id, sub_idx, now, std::move(done));
-        } else {
-          release_sub(block_id, sub_idx, now);
-          done(now);
-        }
-      });
-}
-
-void MultiBufferAggregator::release_sub(u32 block_id, u32 sub_idx,
-                                        SimTime at) {
-  Block& blk = block_ref(block_id);
-  if (!blk.waiters.empty()) {
-    auto fn = std::move(blk.waiters.front());
-    blk.waiters.pop_front();
-    fn(at, sub_idx);  // buffer hands over while staying busy
-    return;
-  }
-  blk.subs[sub_idx].busy = false;
+  schedule(start + work,
+           [this, block_id, sub_idx, done = std::move(done)]() mutable {
+             Block& b = block_ref(block_id);
+             b.aggregated += 1;
+             const SimTime now = host_.simulator().now();
+             if (b.aggregated == cfg_.num_children && b.bitmap.complete()) {
+               // Causally-last handler: fold the partial buffers (6.2).
+               merge_chain(block_id, sub_idx, now, std::move(done));
+             } else {
+               b.slots.release(sub_idx, now);
+               done(now);
+             }
+           });
 }
 
 void MultiBufferAggregator::merge_chain(u32 block_id, u32 my_sub, SimTime t,
@@ -312,23 +228,22 @@ void MultiBufferAggregator::merge_chain(u32 block_id, u32 my_sub, SimTime t,
   for (u32 j = 0; j < blk.subs.size(); ++j) {
     if (j == my_sub) continue;
     Sub& s = blk.subs[j];
-    FLARE_ASSERT_MSG(!s.busy, "merge with an active buffer");
+    FLARE_ASSERT_MSG(!blk.slots.busy(j), "merge with an active buffer");
     if (!s.has_data) continue;
     const u64 merge_cost =
         host_.costs().aggregation_cycles(cfg_.dtype, blk.elems, cfg_.remote_l1);
-    host_.simulator().schedule_at(
-        t + merge_cost,
-        [this, block_id, my_sub, j, done = std::move(done)]() mutable {
-          Block& b = block_ref(block_id);
-          cfg_.op.apply(cfg_.dtype, b.subs[my_sub].buf.data(),
-                        b.subs[j].buf.data(), b.elems);
-          b.subs[j].has_data = false;
-          b.subs[j].allocated = false;
-          b.subs[j].buf = {};
-          pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
-          merge_chain(block_id, my_sub, host_.simulator().now(),
-                      std::move(done));
-        });
+    schedule(t + merge_cost,
+             [this, block_id, my_sub, j, done = std::move(done)]() mutable {
+               Block& b = block_ref(block_id);
+               cfg_.op.apply(cfg_.dtype, b.subs[my_sub].buf.data(),
+                             b.subs[j].buf.data(), b.elems);
+               b.subs[j].has_data = false;
+               b.subs[j].allocated = false;
+               b.subs[j].buf = {};
+               const SimTime now = host_.simulator().now();
+               pool_.release(cfg_.dense_block_bytes(), now);
+               merge_chain(block_id, my_sub, now, std::move(done));
+             });
     return;
   }
   finish_block(block_id, my_sub, t, std::move(done));
@@ -338,19 +253,13 @@ void MultiBufferAggregator::finish_block(u32 block_id, u32 my_sub, SimTime t,
                                          HandlerDone done) {
   Block& blk = block_ref(block_id);
   const SimTime end = t + host_.costs().emit_packet_cycles;
-  stats_.block_mem_bytes.add(static_cast<f64>(blk.max_allocated) *
-                             static_cast<f64>(cfg_.dense_block_bytes()));
-  Packet out = make_result_packet(cfg_, block_id,
-                                  std::move(blk.subs[my_sub].buf), blk.elems);
-  stats_.packets_emitted += 1;
-  stats_.bytes_emitted += out.wire_bytes();
-  stats_.blocks_completed += 1;
-  stats_.block_latency.add(static_cast<f64>(end - blk.first_arrival));
-  host_.emit(std::move(out), end);
-  host_.simulator().schedule_at(end, [this] {
-    pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
-  });
-  completed_.insert(block_id);
+  emit_packet(make_result_packet(cfg_, block_id,
+                                 std::move(blk.subs[my_sub].buf), blk.elems),
+              end);
+  complete_block(block_id, end, blk.first_arrival,
+                 static_cast<f64>(blk.max_allocated) *
+                     static_cast<f64>(cfg_.dense_block_bytes()));
+  release_at(end, cfg_.dense_block_bytes());
   if (cached_block_id_ == block_id) cached_block_ = nullptr;
   blocks_.erase(block_id);
   done(end);
@@ -393,8 +302,8 @@ u32 TreeAggregator::TreeShape::leaf_of(u32 child) const {
 }
 
 TreeAggregator::TreeAggregator(EngineHost& host, const AllreduceConfig& cfg,
-                               BufferPool& pool)
-    : host_(host), cfg_(cfg), pool_(pool),
+                               u64 pool_capacity_bytes)
+    : AllreduceEngine(host, cfg, pool_capacity_bytes),
       shape_(build_shape(cfg.num_children)) {}
 
 TreeAggregator::Block& TreeAggregator::get_block(u32 block_id, SimTime now) {
@@ -408,41 +317,16 @@ TreeAggregator::Block& TreeAggregator::get_block(u32 block_id, SimTime now) {
   return blk;
 }
 
-void TreeAggregator::reset() {
-  FLARE_ASSERT_MSG(blocks_.empty(),
-                   "reset with open blocks: packets still in flight");
-  completed_.clear();
-}
-
-void TreeAggregator::process(std::shared_ptr<const Packet> pkt,
-                             HandlerDone done) {
-  stats_.packets_in += 1;
-  stats_.payload_bytes_in += pkt->payload_bytes();
-  const auto& costs = host_.costs();
-  const u64 pre = costs.handler_dispatch_cycles + costs.dma_packet_cycles;
-  host_.simulator().schedule_after(
-      pre, [this, pkt = std::move(pkt), done = std::move(done)]() mutable {
-        on_ready(std::move(pkt), std::move(done));
-      });
+void TreeAggregator::on_reset() {
+  FLARE_ASSERT_MSG(blocks_.empty(), kOpenBlocksAtReset);
 }
 
 void TreeAggregator::on_ready(std::shared_ptr<const Packet> pkt,
-                              HandlerDone done) {
-  sim::Simulator& sim = host_.simulator();
-  const SimTime now = sim.now();
+                              HandlerDone done, SimTime now) {
   const u32 bid = pkt->hdr.block_id;
-  if (completed_.contains(bid)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
-    return;
-  }
   Block& blk = get_block(bid, now);
   const u32 child = pkt->hdr.child_index;
-  if (!blk.bitmap.mark(child)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
-    return;
-  }
+  if (drop_duplicate(!blk.bitmap.mark(child), done, now)) return;
   const u32 elems = pkt->hdr.elem_count;
   FLARE_ASSERT(pkt->payload.size() ==
                static_cast<std::size_t>(elems) * dtype_size(cfg_.dtype));
@@ -457,13 +341,13 @@ void TreeAggregator::on_ready(std::shared_ptr<const Packet> pkt,
 
   // The copy is DMA-assisted (64 cycles, Section 6.3) — far cheaper than the
   // 1024-cycle aggregation, which is the whole point of the tree design.
-  const SimTime copy_done = now + host_.costs().dma_packet_cycles;
-  sim.schedule_at(copy_done, [this, bid, leaf, done = std::move(done)]() mutable {
-    auto it = blocks_.find(bid);
-    FLARE_ASSERT(it != blocks_.end());
-    it->second.nodes[leaf].done = true;
-    climb(bid, leaf, host_.simulator().now(), std::move(done));
-  });
+  schedule(now + host_.costs().dma_packet_cycles,
+           [this, bid, leaf, done = std::move(done)]() mutable {
+             auto it = blocks_.find(bid);
+             FLARE_ASSERT(it != blocks_.end());
+             it->second.nodes[leaf].done = true;
+             climb(bid, leaf, host_.simulator().now(), std::move(done));
+           });
 }
 
 void TreeAggregator::climb(u32 block_id, u32 node, SimTime t,
@@ -490,63 +374,40 @@ void TreeAggregator::climb(u32 block_id, u32 node, SimTime t,
   par.claimed = true;
   const u64 combine_cost =
       host_.costs().aggregation_cycles(cfg_.dtype, blk.elems, cfg_.remote_l1);
-  host_.simulator().schedule_at(
-      t + combine_cost,
-      [this, block_id, parent, done = std::move(done)]() mutable {
-        Block& b = blocks_.at(block_id);
-        const auto& p = shape_.nodes[static_cast<u32>(parent)];
-        NodeState& left = b.nodes[static_cast<u32>(p.left)];
-        NodeState& right = b.nodes[static_cast<u32>(p.right)];
-        // Fixed operand order: parent = op(left, right).
-        cfg_.op.apply(cfg_.dtype, left.buf.data(), right.buf.data(), b.elems);
-        NodeState& par2 = b.nodes[static_cast<u32>(parent)];
-        par2.buf = std::move(left.buf);
-        left.buf = {};
-        right.buf = {};
-        pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
-        b.alive_buffers -= 1;
-        par2.done = true;
-        climb(block_id, static_cast<u32>(parent), host_.simulator().now(),
-              std::move(done));
-      });
+  schedule(t + combine_cost,
+           [this, block_id, parent, done = std::move(done)]() mutable {
+             Block& b = blocks_.at(block_id);
+             const auto& p = shape_.nodes[static_cast<u32>(parent)];
+             NodeState& left = b.nodes[static_cast<u32>(p.left)];
+             NodeState& right = b.nodes[static_cast<u32>(p.right)];
+             // Fixed operand order: parent = op(left, right).
+             cfg_.op.apply(cfg_.dtype, left.buf.data(), right.buf.data(),
+                           b.elems);
+             NodeState& par2 = b.nodes[static_cast<u32>(parent)];
+             par2.buf = std::move(left.buf);
+             left.buf = {};
+             right.buf = {};
+             const SimTime now = host_.simulator().now();
+             pool_.release(cfg_.dense_block_bytes(), now);
+             b.alive_buffers -= 1;
+             par2.done = true;
+             climb(block_id, static_cast<u32>(parent), now, std::move(done));
+           });
 }
 
 void TreeAggregator::complete_root(u32 block_id, SimTime t,
                                    HandlerDone done) {
   Block& blk = blocks_.at(block_id);
   const SimTime end = t + host_.costs().emit_packet_cycles;
-  Packet out = make_result_packet(cfg_, block_id, std::move(blk.nodes[0].buf),
-                                  blk.elems);
-  stats_.packets_emitted += 1;
-  stats_.bytes_emitted += out.wire_bytes();
-  stats_.blocks_completed += 1;
-  stats_.block_latency.add(static_cast<f64>(end - blk.first_arrival));
-  stats_.block_mem_bytes.add(static_cast<f64>(blk.max_alive) *
-                             static_cast<f64>(cfg_.dense_block_bytes()));
-  host_.emit(std::move(out), end);
-  host_.simulator().schedule_at(end, [this] {
-    pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
-  });
-  completed_.insert(block_id);
+  emit_packet(make_result_packet(cfg_, block_id, std::move(blk.nodes[0].buf),
+                                 blk.elems),
+              end);
+  complete_block(block_id, end, blk.first_arrival,
+                 static_cast<f64>(blk.max_alive) *
+                     static_cast<f64>(cfg_.dense_block_bytes()));
+  release_at(end, cfg_.dense_block_bytes());
   blocks_.erase(block_id);
   done(end);
-}
-
-// ===========================================================================
-
-std::unique_ptr<Aggregator> make_dense_aggregator(EngineHost& host,
-                                                  const AllreduceConfig& cfg,
-                                                  BufferPool& pool) {
-  FLARE_ASSERT_MSG(!cfg.sparse, "use make_sparse_aggregator");
-  switch (cfg.policy) {
-    case AggPolicy::kSingleBuffer:
-      return std::make_unique<SingleBufferAggregator>(host, cfg, pool);
-    case AggPolicy::kMultiBuffer:
-      return std::make_unique<MultiBufferAggregator>(host, cfg, pool);
-    case AggPolicy::kTree:
-      return std::make_unique<TreeAggregator>(host, cfg, pool);
-  }
-  FLARE_UNREACHABLE("unknown policy");
 }
 
 }  // namespace flare::core

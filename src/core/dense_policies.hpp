@@ -1,6 +1,6 @@
-// Dense aggregation policies (Section 6 of the paper).
-//
-// Three organisations of the per-block working memory:
+// Dense aggregation policies (Section 6 of the paper): three state machines
+// on the AllreduceEngine chassis, one per organisation of a block's working
+// memory.
 //
 //  * SingleBufferAggregator (6.1): every packet of a block accumulates into
 //    one shared buffer inside a critical section.  Handlers that find the
@@ -23,110 +23,19 @@
 // stalls and climb hand-offs happen at their true simulated times.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "common/stats.hpp"
+#include "core/allreduce_engine.hpp"
 #include "core/block_state.hpp"
-#include "core/buffer_pool.hpp"
-#include "core/engine_host.hpp"
-#include "core/policy.hpp"
-#include "core/reduce_op.hpp"
 
 namespace flare::core {
 
-/// Static configuration of one installed allreduce on one switch.
-struct AllreduceConfig {
-  u32 id = 0;
-  /// Attribution tag (Network::alloc_trace_id): stamped onto every packet
-  /// this collective serializes so links can account busy-time per session.
-  /// Stable across fresh-id reinstalls — only `id` churns on migration.
-  /// 0 = untagged.
-  u32 trace = 0;
-  /// P: number of children of this switch in the reduction tree.
-  u32 num_children = 1;
-  DType dtype = DType::kFloat32;
-  ReduceOp op{OpKind::kSum};
-  /// N: elements per (dense) packet / block.
-  u32 elems_per_packet = 256;
-  AggPolicy policy = AggPolicy::kTree;
-  u32 num_buffers = 1;  ///< B for the multi-buffer policy
-  bool reproducible = false;
-  /// Root of the reduction tree: results are flagged kFlagDown.
-  bool is_root = true;
-  /// Aggregation buffers live in a remote cluster's L1 (what happens
-  /// WITHOUT hierarchical FCFS scheduling, Section 5): every access pays
-  /// the up-to-25x penalty.  Used by the scheduler ablation.
-  bool remote_l1 = false;
-
-  /// Host-side fault recovery is armed (Tuning::retransmit_timeout_ps):
-  /// switches cache each block's emitted packets for retransmission replay
-  /// only when someone can actually ask for them.
-  bool fault_recovery = false;
-
-  // --- sparse allreduce (Section 7) ---
-  bool sparse = false;
-  bool hash_storage = true;     ///< hash+spill if true, contiguous array else
-  u32 block_span = 0;           ///< elements of index space per sparse block
-  u32 pairs_per_packet = 128;   ///< MTU budget in (index, value) pairs
-  u32 hash_capacity_pairs = 256;
-  u32 spill_capacity_pairs = 64;
-
-  u64 dense_block_bytes() const {
-    return static_cast<u64>(elems_per_packet) * dtype_size(dtype);
-  }
-};
-
-/// Counters shared by all aggregator implementations.
-struct EngineStats {
-  u64 packets_in = 0;
-  u64 payload_bytes_in = 0;
-  u64 duplicates_dropped = 0;
-  u64 blocks_completed = 0;
-  u64 packets_emitted = 0;
-  u64 bytes_emitted = 0;        ///< wire bytes of emitted packets
-  u64 spill_packets = 0;
-  u64 spill_pairs = 0;
-  RunningStats block_latency;   ///< cycles, first packet arrival -> emit
-  RunningStats block_mem_bytes; ///< working-memory footprint per block
-  RunningStats cs_wait_cycles;  ///< per-handler critical-section spin time
-};
-
-/// Common interface driven by the hosting simulator.  `process` is invoked
-/// when an HPU core *starts* the handler for `pkt`; the aggregator charges
-/// dispatch/DMA/aggregation cycles on the event calendar and calls `done`
-/// exactly once with the core-release time.
-class Aggregator {
- public:
-  virtual ~Aggregator() = default;
-  virtual void process(std::shared_ptr<const Packet> pkt,
-                       HandlerDone done) = 0;
-
-  /// Clears per-iteration block state (open blocks + completed-block
-  /// dedup sets) so an installed engine can serve the next iteration of a
-  /// persistent collective with the same block ids.  Must only be called
-  /// between iterations: open blocks at reset time indicate in-flight
-  /// packets and are a protocol bug.  Cumulative stats are preserved.
-  virtual void reset() = 0;
-
-  const EngineStats& stats() const { return stats_; }
-  EngineStats& stats() { return stats_; }
-
- protected:
-  EngineStats stats_;
-};
-
-// ---------------------------------------------------------------------------
-
-class SingleBufferAggregator final : public Aggregator {
+class SingleBufferAggregator final : public AllreduceEngine {
  public:
   SingleBufferAggregator(EngineHost& host, const AllreduceConfig& cfg,
-                         BufferPool& pool);
-  void process(std::shared_ptr<const Packet> pkt, HandlerDone done) override;
-  void reset() override;
+                         u64 pool_capacity_bytes);
 
  private:
   struct Block {
@@ -136,52 +45,43 @@ class SingleBufferAggregator final : public Aggregator {
                          ///< bitmap marks arrivals, but completion requires
                          ///< the aggregation work itself to have run
     bool has_data = false;
-    bool cs_busy = false;
-    bool completed = false;
     SimTime first_arrival = 0;
-    /// FIFO of handlers spinning on the critical section; each entry is
-    /// resumed with the time at which it acquires the lock.
-    std::deque<std::function<void(SimTime)>> waiters;
+    SlotQueue lock;  ///< the critical section (one slot)
   };
 
+  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done,
+                SimTime now) override;
+  void on_reset() override;
   Block& get_block(u32 block_id, SimTime now);
-  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done);
   void in_critical_section(u32 block_id, std::shared_ptr<const Packet> pkt,
                            SimTime enqueued_at, SimTime start,
                            HandlerDone done);
   void leave_cs(u32 block_id, SimTime end);
 
-  EngineHost& host_;
-  AllreduceConfig cfg_;
-  BufferPool& pool_;
   std::unordered_map<u32, Block> blocks_;
-  std::unordered_set<u32> completed_;
 };
 
 // ---------------------------------------------------------------------------
 
-class MultiBufferAggregator final : public Aggregator {
+class MultiBufferAggregator final : public AllreduceEngine {
  public:
   MultiBufferAggregator(EngineHost& host, const AllreduceConfig& cfg,
-                        BufferPool& pool);
-  void process(std::shared_ptr<const Packet> pkt, HandlerDone done) override;
-  void reset() override;
+                        u64 pool_capacity_bytes);
 
  private:
   struct Sub {
     PayloadVec buf;
     bool allocated = false;
     bool has_data = false;
-    bool busy = false;
   };
   struct Block {
     std::vector<Sub> subs;
+    SlotQueue slots;  ///< which of the B sub-buffers a handler holds
     ChildBitmap bitmap;
     u32 aggregated = 0;  ///< packets whose aggregation work has finished
     u32 elems = 0;       ///< payload elements (ragged last block support)
     u32 max_allocated = 0;  ///< peak simultaneously-allocated sub-buffers
     SimTime first_arrival = 0;
-    std::deque<std::function<void(SimTime, u32)>> waiters;  ///< (time, sub)
   };
 
   Block& get_block(u32 block_id, SimTime now);
@@ -198,31 +98,26 @@ class MultiBufferAggregator final : public Aggregator {
     cached_block_ = &b;
     return b;
   }
-  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done);
+  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done,
+                SimTime now) override;
+  void on_reset() override;
   void run_on_sub(u32 block_id, u32 sub_idx,
                   std::shared_ptr<const Packet> pkt, SimTime enqueued_at,
                   SimTime start, HandlerDone done);
-  void release_sub(u32 block_id, u32 sub_idx, SimTime at);
   void merge_chain(u32 block_id, u32 my_sub, SimTime t, HandlerDone done);
   void finish_block(u32 block_id, u32 my_sub, SimTime t, HandlerDone done);
 
-  EngineHost& host_;
-  AllreduceConfig cfg_;
-  BufferPool& pool_;
   std::unordered_map<u32, Block> blocks_;
   u32 cached_block_id_ = 0;
   Block* cached_block_ = nullptr;  ///< one-entry cache over blocks_
-  std::unordered_set<u32> completed_;
 };
 
 // ---------------------------------------------------------------------------
 
-class TreeAggregator final : public Aggregator {
+class TreeAggregator final : public AllreduceEngine {
  public:
   TreeAggregator(EngineHost& host, const AllreduceConfig& cfg,
-                 BufferPool& pool);
-  void process(std::shared_ptr<const Packet> pkt, HandlerDone done) override;
-  void reset() override;
+                 u64 pool_capacity_bytes);
 
   /// Exposed for tests: the fixed combine tree over `p` leaves.  Node 0 is
   /// the root; leaves are identified by child index.
@@ -254,22 +149,14 @@ class TreeAggregator final : public Aggregator {
   };
 
   Block& get_block(u32 block_id, SimTime now);
-  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done);
+  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done,
+                SimTime now) override;
+  void on_reset() override;
   void climb(u32 block_id, u32 node, SimTime t, HandlerDone done);
   void complete_root(u32 block_id, SimTime t, HandlerDone done);
 
-  EngineHost& host_;
-  AllreduceConfig cfg_;
-  BufferPool& pool_;
   TreeShape shape_;
   std::unordered_map<u32, Block> blocks_;
-  std::unordered_set<u32> completed_;
 };
-
-/// Factory over AllreduceConfig::policy (dense only; sparse lives in
-/// sparse_policy.hpp).
-std::unique_ptr<Aggregator> make_dense_aggregator(EngineHost& host,
-                                                  const AllreduceConfig& cfg,
-                                                  BufferPool& pool);
 
 }  // namespace flare::core

@@ -1,10 +1,13 @@
-// The interface an aggregation engine needs from its hosting simulator.
+// The interface an aggregation engine (core::AllreduceEngine, built by
+// make_engine) needs from its hosting simulator.
 //
 // The same engine code runs inside two substrates: the PsPIN processing-unit
 // simulator (src/pspin, single-switch experiments of Section 6.4/7.1) and the
 // SST-style network simulator (src/net, the fat-tree experiments of
 // Figure 15).  Both provide the event calendar, the cycle-cost model, and a
-// sink for the packets the engine produces.
+// sink for the packets the engine produces.  A host may destroy an engine
+// while its events are queued (switch crash, recovery uninstall): those
+// events expire, and the engine emits nothing more.
 #pragma once
 
 #include <functional>

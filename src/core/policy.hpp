@@ -29,15 +29,7 @@ struct PolicyChoice {
   u32 num_buffers;  ///< B; meaningful for kMultiBuffer (1 otherwise)
 };
 
-/// Thresholds from Section 6.4, exposed for the ablation bench.
-struct PolicyThresholds {
-  u64 single_buffer_min_bytes = 512 * 1024;
-  u64 multi4_min_bytes = 256 * 1024;
-  u64 multi2_min_bytes = 128 * 1024;
-};
-
 /// Selects the policy Flare uses for a reduction of `data_bytes` per host.
-PolicyChoice select_policy(u64 data_bytes, bool reproducible,
-                           const PolicyThresholds& thresholds = {});
+PolicyChoice select_policy(u64 data_bytes, bool reproducible);
 
 }  // namespace flare::core

@@ -31,16 +31,13 @@ Packet make_sparse_packet_from_pairs(
 
 SparseAggregator::SparseAggregator(EngineHost& host,
                                    const AllreduceConfig& cfg,
-                                   BufferPool& pool)
-    : host_(host), cfg_(cfg), pool_(pool) {
+                                   u64 pool_capacity_bytes)
+    : AllreduceEngine(host, cfg, pool_capacity_bytes) {
   FLARE_ASSERT(cfg_.sparse);
-  FLARE_ASSERT(cfg_.num_children >= 1);
   FLARE_ASSERT(cfg_.num_buffers >= 1);
   FLARE_ASSERT_MSG(cfg_.hash_storage || cfg_.block_span > 0,
                    "array storage needs a block span");
 }
-
-SparseAggregator::~SparseAggregator() = default;
 
 std::unique_ptr<SparseStore> SparseAggregator::make_store() const {
   if (cfg_.hash_storage)
@@ -69,6 +66,7 @@ SparseAggregator::Block& SparseAggregator::get_block(u32 block_id,
   if (inserted) {
     blk.tracker = std::make_unique<SparseBlockTracker>(cfg_.num_children);
     blk.stores.resize(cfg_.num_buffers);
+    blk.slots.reset(cfg_.num_buffers);
     for (auto& s : blk.stores) {
       s.store = make_store();
       const bool ok = pool_.acquire(store_footprint(), now);
@@ -79,68 +77,29 @@ SparseAggregator::Block& SparseAggregator::get_block(u32 block_id,
   return blk;
 }
 
-void SparseAggregator::reset() {
-  // Blocks can be open here when a persistent session resets an engine
-  // whose iteration was abandoned by the recovery plane (fresh-id
-  // reinstall elsewhere left this engine mid-block): drop them and return
-  // their working memory, or the pool's occupancy telemetry would report a
-  // leak for the lifetime of the install.
+void SparseAggregator::on_reset() {
   const SimTime now = host_.simulator().now();
   // flare-lint: allow(unordered-iter) commutative integer pool releases
   for (auto& [id, blk] : blocks_) {
     pool_.release(store_footprint() * blk.stores.size(), now);
   }
   blocks_.clear();
-  completed_.clear();
-}
-
-void SparseAggregator::process(std::shared_ptr<const Packet> pkt,
-                               HandlerDone done) {
-  stats_.packets_in += 1;
-  stats_.payload_bytes_in += pkt->payload_bytes();
-  const auto& costs = host_.costs();
-  const u64 pre = costs.handler_dispatch_cycles + costs.dma_packet_cycles;
-  std::weak_ptr<char> w = alive_;
-  host_.simulator().schedule_after(
-      pre, [this, w, pkt = std::move(pkt), done = std::move(done)]() mutable {
-        if (w.expired()) return;  // engine uninstalled while queued
-        on_ready(std::move(pkt), std::move(done));
-      });
 }
 
 void SparseAggregator::on_ready(std::shared_ptr<const Packet> pkt,
-                                HandlerDone done) {
-  sim::Simulator& sim = host_.simulator();
-  const SimTime now = sim.now();
+                                HandlerDone done, SimTime now) {
   const u32 bid = pkt->hdr.block_id;
-  if (completed_.contains(bid)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
-    return;
-  }
   Block& blk = get_block(bid, now);
   const auto mark = blk.tracker->mark(
       pkt->hdr.child_index, pkt->hdr.shard_seq, pkt->is_last_shard(),
       pkt->hdr.shard_count);
-  if (!mark.fresh) {
-    stats_.duplicates_dropped += 1;
-    done(now);
-    return;
-  }
+  if (drop_duplicate(!mark.fresh, done, now)) return;
   blk.seen += 1;
-  for (u32 i = 0; i < blk.stores.size(); ++i) {
-    if (!blk.stores[i].busy) {
-      blk.stores[i].busy = true;
-      run_on_store(bid, i, std::move(pkt), now, now, std::move(done));
-      return;
-    }
-  }
-  blk.waiters.emplace_back(
-      [this, bid, pkt = std::move(pkt), now,
-       done = std::move(done)](SimTime start, u32 store_idx) mutable {
-        run_on_store(bid, store_idx, std::move(pkt), now, start,
-                     std::move(done));
-      });
+  blk.slots.acquire(now, [this, bid, pkt = std::move(pkt), now,
+                          done = std::move(done)](SimTime start,
+                                                  u32 store_idx) mutable {
+    run_on_store(bid, store_idx, std::move(pkt), now, start, std::move(done));
+  });
 }
 
 void SparseAggregator::run_on_store(u32 block_id, u32 store_idx,
@@ -162,7 +121,6 @@ void SparseAggregator::run_on_store(u32 block_id, u32 store_idx,
     if (!slot.store->insert(view.indices[i], val, cfg_.dtype, cfg_.op)) {
       slot.spill.push_back(make_stored_pair(view.indices[i], val, cfg_.dtype));
       spilled += 1;
-      total_collisions_ += 1;
     }
   }
 
@@ -177,34 +135,19 @@ void SparseAggregator::run_on_store(u32 block_id, u32 store_idx,
     flush_spill(blk, slot, block_id, end);
   }
 
-  std::weak_ptr<char> w = alive_;
-  host_.simulator().schedule_at(
-      end, [this, w, block_id, store_idx, done = std::move(done)]() mutable {
-        if (w.expired()) return;  // engine uninstalled while working
-        const auto it = blocks_.find(block_id);
-        if (it == blocks_.end()) return;  // reset dropped the block
-        Block& b = it->second;
-        b.inserted += 1;
-        const SimTime now2 = host_.simulator().now();
-        if (b.tracker->complete() && b.inserted == b.seen) {
-          finalize_block(block_id, store_idx, now2, std::move(done));
-        } else {
-          release_store(block_id, store_idx, now2);
-          done(now2);
-        }
-      });
-}
-
-void SparseAggregator::release_store(u32 block_id, u32 store_idx,
-                                     SimTime at) {
-  Block& blk = blocks_.at(block_id);
-  if (!blk.waiters.empty()) {
-    auto fn = std::move(blk.waiters.front());
-    blk.waiters.pop_front();
-    fn(at, store_idx);
-    return;
-  }
-  blk.stores[store_idx].busy = false;
+  schedule(end, [this, block_id, store_idx, done = std::move(done)]() mutable {
+    const auto it = blocks_.find(block_id);
+    if (it == blocks_.end()) return;  // reset dropped the block
+    Block& b = it->second;
+    b.inserted += 1;
+    const SimTime now = host_.simulator().now();
+    if (b.tracker->complete() && b.inserted == b.seen) {
+      finalize_block(block_id, store_idx, now, std::move(done));
+    } else {
+      b.slots.release(store_idx, now);
+      done(now);
+    }
+  });
 }
 
 void SparseAggregator::flush_spill(Block& blk, StoreSlot& slot, u32 block_id,
@@ -218,9 +161,7 @@ void SparseAggregator::flush_spill(Block& blk, StoreSlot& slot, u32 block_id,
   slot.spill.erase(slot.spill.begin(), slot.spill.begin() + n);
   stats_.spill_packets += 1;
   stats_.spill_pairs += n;
-  stats_.packets_emitted += 1;
-  stats_.bytes_emitted += out.wire_bytes();
-  host_.emit(std::move(out), when);
+  emit_packet(std::move(out), when);
 }
 
 void SparseAggregator::finalize_block(u32 block_id, u32 my_store, SimTime t,
@@ -235,7 +176,7 @@ void SparseAggregator::finalize_block(u32 block_id, u32 my_store, SimTime t,
   for (u32 j = 0; j < blk.stores.size(); ++j) {
     if (j == my_store) continue;
     StoreSlot& other = blk.stores[j];
-    FLARE_ASSERT_MSG(!other.busy, "sparse merge with an active store");
+    FLARE_ASSERT_MSG(!blk.slots.busy(j), "sparse merge with an active store");
     std::vector<StoredPair> pairs;
     other.store->extract(pairs);
     merge_cycles += costs.scan_cycles(other.store->scan_slots(), 0);
@@ -243,7 +184,6 @@ void SparseAggregator::finalize_block(u32 block_id, u32 my_store, SimTime t,
       if (!mine.store->insert(sp.index, sp.value.data(), cfg_.dtype,
                               cfg_.op)) {
         mine.spill.push_back(sp);
-        total_collisions_ += 1;
       }
     }
     merge_cycles +=
@@ -269,7 +209,6 @@ void SparseAggregator::finalize_block(u32 block_id, u32 my_store, SimTime t,
   }
 
   const u16 down_flag = static_cast<u16>(cfg_.is_root ? kFlagDown : 0);
-  u32 emitted_here = 0;
   u32 offset = 0;
   const u32 total = static_cast<u32>(result.size());
   while (offset < total) {
@@ -286,11 +225,8 @@ void SparseAggregator::finalize_block(u32 block_id, u32 my_store, SimTime t,
         cfg_, block_id, result.cbegin() + offset, n, flags, blk.emit_seq);
     out.hdr.shard_count = shard_count;
     blk.emit_seq += 1;
-    stats_.packets_emitted += 1;
-    stats_.bytes_emitted += out.wire_bytes();
-    host_.emit(std::move(out), t);
+    emit_packet(std::move(out), t);
     offset += n;
-    emitted_here += 1;
   }
   if (total == 0) {
     // All children sent empty blocks (or everything spilled): still emit the
@@ -302,38 +238,15 @@ void SparseAggregator::finalize_block(u32 block_id, u32 my_store, SimTime t,
         blk.emit_seq);
     out.hdr.shard_count = blk.emit_seq + 1;
     blk.emit_seq += 1;
-    stats_.packets_emitted += 1;
-    stats_.bytes_emitted += out.wire_bytes();
-    host_.emit(std::move(out), t);
+    emit_packet(std::move(out), t);
   }
 
-  stats_.blocks_completed += 1;
-  stats_.block_latency.add(static_cast<f64>(t - blk.first_arrival));
-  stats_.block_mem_bytes.add(
-      static_cast<f64>(store_footprint() * blk.stores.size()));
-
   const u64 release_bytes = store_footprint() * blk.stores.size();
-  std::weak_ptr<char> w = alive_;
-  host_.simulator().schedule_at(t, [this, w, release_bytes] {
-    if (w.expired()) return;  // engine (and its pool) already gone
-    pool_.release(release_bytes, host_.simulator().now());
-  });
-  completed_.insert(block_id);
+  complete_block(block_id, t, blk.first_arrival,
+                 static_cast<f64>(release_bytes));
+  release_at(t, release_bytes);
   blocks_.erase(block_id);
   done(t);
-}
-
-std::unique_ptr<Aggregator> make_sparse_aggregator(EngineHost& host,
-                                                   const AllreduceConfig& cfg,
-                                                   BufferPool& pool) {
-  return std::make_unique<SparseAggregator>(host, cfg, pool);
-}
-
-std::unique_ptr<Aggregator> make_aggregator(EngineHost& host,
-                                            const AllreduceConfig& cfg,
-                                            BufferPool& pool) {
-  if (cfg.sparse) return make_sparse_aggregator(host, cfg, pool);
-  return make_dense_aggregator(host, cfg, pool);
 }
 
 }  // namespace flare::core

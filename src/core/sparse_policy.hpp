@@ -1,5 +1,6 @@
 // Sparse in-network aggregation (Section 7) — the first in-network sparse
-// allreduce.  Differences from the dense engine:
+// allreduce — as the fourth state machine on the AllreduceEngine chassis.
+// Differences from the dense policies:
 //
 //  * a block may arrive as several packets per child ("Block split"): the
 //    per-child shard counters in SparseBlockTracker detect completion;
@@ -16,16 +17,12 @@
 // aggregated pairs.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "core/allreduce_engine.hpp"
 #include "core/block_state.hpp"
-#include "core/buffer_pool.hpp"
-#include "core/dense_policies.hpp"
-#include "core/engine_host.hpp"
 #include "core/sparse_store.hpp"
 
 namespace flare::core {
@@ -36,67 +33,46 @@ Packet make_sparse_packet_from_pairs(const AllreduceConfig& cfg, u32 block_id,
                                          first,
                                      u32 count, u16 flags, u32 shard_seq);
 
-class SparseAggregator final : public Aggregator {
+class SparseAggregator final : public AllreduceEngine {
  public:
   SparseAggregator(EngineHost& host, const AllreduceConfig& cfg,
-                   BufferPool& pool);
-  ~SparseAggregator() override;
-
-  void process(std::shared_ptr<const Packet> pkt, HandlerDone done) override;
-  void reset() override;
-
-  /// Total collisions observed across all hash stores (telemetry).
-  u64 total_collisions() const { return total_collisions_; }
+                   u64 pool_capacity_bytes);
 
  private:
   struct StoreSlot {
     std::unique_ptr<SparseStore> store;
     std::vector<StoredPair> spill;
-    bool busy = false;
   };
   struct Block {
     std::vector<StoreSlot> stores;
+    SlotQueue slots;  ///< which of the B stores a handler holds
     std::unique_ptr<SparseBlockTracker> tracker;
     u32 seen = 0;      ///< fresh packets registered (at mark time)
     u32 inserted = 0;  ///< fresh packets whose work completed (at end time)
     u32 emit_seq = 0;  ///< shard_seq for packets this node emits
     SimTime first_arrival = 0;
-    std::deque<std::function<void(SimTime, u32)>> waiters;
   };
 
   Block& get_block(u32 block_id, SimTime now);
   std::unique_ptr<SparseStore> make_store() const;
   u64 store_footprint() const;
 
-  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done);
+  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done,
+                SimTime now) override;
+  /// Open blocks can remain when a persistent session resets an engine
+  /// whose iteration the recovery plane abandoned (a fresh-id reinstall
+  /// elsewhere left it mid-block): they are dropped and their stores
+  /// returned, or the pool would report a leak for the install's lifetime.
+  void on_reset() override;
   void run_on_store(u32 block_id, u32 store_idx,
                     std::shared_ptr<const Packet> pkt, SimTime enqueued_at,
                     SimTime start, HandlerDone done);
-  void release_store(u32 block_id, u32 store_idx, SimTime at);
   /// Flushes `slot`'s spill buffer as a packet leaving at `when`.
   void flush_spill(Block& blk, StoreSlot& slot, u32 block_id, SimTime when);
   void finalize_block(u32 block_id, u32 my_store, SimTime t,
                       HandlerDone done);
 
-  EngineHost& host_;
-  AllreduceConfig cfg_;
-  BufferPool& pool_;
   std::unordered_map<u32, Block> blocks_;
-  std::unordered_set<u32> completed_;
-  u64 total_collisions_ = 0;
-  /// Outlives-`this` guard for calendar events: the recovery plane can
-  /// uninstall (destroy) an engine while its insert/release events are
-  /// still scheduled — they must expire, not dereference a dead engine.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 };
-
-std::unique_ptr<Aggregator> make_sparse_aggregator(EngineHost& host,
-                                                   const AllreduceConfig& cfg,
-                                                   BufferPool& pool);
-
-/// Factory over dense/sparse and policy.
-std::unique_ptr<Aggregator> make_aggregator(EngineHost& host,
-                                            const AllreduceConfig& cfg,
-                                            BufferPool& pool);
 
 }  // namespace flare::core

@@ -90,7 +90,7 @@ void Switch::restart() {
 bool Switch::install_reduce(const core::AllreduceConfig& cfg,
                             ReduceRole&& role) {
   if (!can_install()) return false;
-  role.engine = std::make_unique<core::AllreduceEngine>(*this, cfg);
+  role.engine = core::make_engine(*this, cfg);
   auto [it, inserted] = roles_.try_emplace(cfg.id, std::move(role));
   FLARE_ASSERT_MSG(inserted, "allreduce id already installed on switch");
   occupancy_.set(roles_.size(), net_.sim().now());

@@ -33,8 +33,7 @@ PsPinUnit::PsPinUnit(sim::Simulator& sim, PsPinConfig cfg)
 core::AllreduceEngine& PsPinUnit::install(const core::AllreduceConfig& cfg,
                                           u64 pool_capacity) {
   auto [it, inserted] = engines_.try_emplace(
-      cfg.id,
-      std::make_unique<core::AllreduceEngine>(*this, cfg, pool_capacity));
+      cfg.id, core::make_engine(*this, cfg, pool_capacity));
   FLARE_ASSERT_MSG(inserted, "allreduce id already installed");
   return *it->second;
 }
@@ -43,8 +42,6 @@ core::AllreduceEngine* PsPinUnit::find(u32 allreduce_id) {
   auto it = engines_.find(allreduce_id);
   return it == engines_.end() ? nullptr : it->second.get();
 }
-
-void PsPinUnit::uninstall(u32 allreduce_id) { engines_.erase(allreduce_id); }
 
 u32 PsPinUnit::subset_of(const core::Packet& pkt) const {
   if (cfg_.scheduler == SchedulerKind::kGlobalFcfs) return 0;
@@ -57,11 +54,6 @@ void PsPinUnit::inject(core::Packet pkt, SimTime when) {
   FLARE_ASSERT(when >= sim_.now());
   sim_.schedule_at(when, [this, pkt = std::move(pkt)]() mutable {
     const SimTime now = sim_.now();
-    packets_injected_ += 1;
-    if (!saw_injection_) {
-      saw_injection_ = true;
-      first_injection_ = now;
-    }
     core::AllreduceEngine* engine = find(pkt.hdr.allreduce_id);
     if (engine == nullptr) {
       packets_unmatched_ += 1;
@@ -116,14 +108,12 @@ void PsPinUnit::start_handler(u32 core_id, u32 subset_idx, QueuedPacket qp) {
     if (cfg_.charge_cold_start) cold = cfg_.costs.cold_start_cycles;
   }
   const u64 wire = qp.pkt->wire_bytes();
-  const u64 payload = qp.pkt->payload_bytes();
-  auto run = [this, core_id, subset_idx, wire, payload,
-              pkt = std::move(qp.pkt), engine = qp.engine]() mutable {
-    engine->process(std::move(pkt),
-                    [this, core_id, subset_idx, wire, payload](SimTime end) {
-                      payload_bytes_processed_ += payload;
-                      finish_handler(core_id, subset_idx, wire, end);
-                    });
+  auto run = [this, core_id, subset_idx, wire, pkt = std::move(qp.pkt),
+              engine = qp.engine]() mutable {
+    engine->process(std::move(pkt), [this, core_id, subset_idx,
+                                     wire](SimTime end) {
+      finish_handler(core_id, subset_idx, wire, end);
+    });
   };
   if (cold == 0) {
     run();

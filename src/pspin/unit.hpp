@@ -38,7 +38,6 @@ class PsPinUnit final : public core::EngineHost {
   core::AllreduceEngine& install(const core::AllreduceConfig& cfg,
                                  u64 pool_capacity = 0);
   core::AllreduceEngine* find(u32 allreduce_id);
-  void uninstall(u32 allreduce_id);
 
   /// A packet arrives at the unit at time `when` (>= now).
   void inject(core::Packet pkt, SimTime when);
@@ -57,7 +56,6 @@ class PsPinUnit final : public core::EngineHost {
   const Gauge& l2_bytes() const { return l2_bytes_; }
   const Gauge& queued_packets() const { return queued_packets_; }
   const Gauge& busy_cores() const { return busy_cores_; }
-  u64 packets_injected() const { return packets_injected_; }
   u64 packets_dropped() const { return packets_dropped_; }
   u64 packets_unmatched() const { return packets_unmatched_; }
   u64 handlers_run() const { return handlers_run_; }
@@ -67,9 +65,7 @@ class PsPinUnit final : public core::EngineHost {
   const TrafficCounter& emitted() const { return emitted_; }
   /// Sum over engines of working-memory high-water marks.
   u64 working_memory_high_water() const;
-  SimTime first_injection() const { return first_injection_; }
   SimTime last_emission() const { return last_emission_; }
-  u64 payload_bytes_processed() const { return payload_bytes_processed_; }
 
  private:
   struct QueuedPacket {
@@ -103,13 +99,9 @@ class PsPinUnit final : public core::EngineHost {
   Gauge queued_packets_;
   Gauge busy_cores_;
   TrafficCounter emitted_;
-  u64 packets_injected_ = 0;
   u64 packets_dropped_ = 0;
   u64 packets_unmatched_ = 0;
   u64 handlers_run_ = 0;
-  u64 payload_bytes_processed_ = 0;
-  SimTime first_injection_ = 0;
-  bool saw_injection_ = false;
   SimTime last_emission_ = 0;
 };
 

@@ -63,7 +63,8 @@ RunResult run_one_block(const AllreduceConfig& cfg,
                         const std::vector<TypedBuffer>& data,
                         const std::vector<SimTime>& arrivals) {
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   RunResult rr;
   for (u32 h = 0; h < data.size(); ++h) {
     Packet p = make_dense_packet(cfg.id, /*block=*/0, static_cast<u16>(h),
@@ -290,7 +291,8 @@ TEST_P(RetransmitTest, DuplicatesAreNotAggregatedTwice) {
   AllreduceConfig cfg =
       base_config(P, policy, 2, DType::kInt32, OpKind::kSum, 16);
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   u32 handler_count = 0;
   auto inject = [&](u32 h, SimTime at) {
     Packet p = make_dense_packet(cfg.id, 0, static_cast<u16>(h),
@@ -365,7 +367,8 @@ TEST(TreePolicy, HandlersNeverWait) {
   std::vector<TypedBuffer> data(P, TypedBuffer(DType::kFloat32, 256));
   AllreduceConfig cfg = base_config(P, AggPolicy::kTree);
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   // All packets at once — worst case for lock-based designs.
   std::vector<SimTime> ends;
   for (u32 h = 0; h < P; ++h) {
@@ -467,7 +470,8 @@ TEST(DensePolicies, InterleavedBlocksKeepSeparateState) {
       base_config(P, AggPolicy::kSingleBuffer, 1, DType::kInt32,
                   OpKind::kSum, 8);
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   auto inject = [&](u32 block, u32 h, const TypedBuffer& buf, SimTime at) {
     Packet p = make_dense_packet(cfg.id, block, static_cast<u16>(h),
                                  buf.data(), 8, cfg.dtype);

@@ -63,7 +63,8 @@ TEST_P(DenseFuzz, InvariantsHoldUnderArrivalStorms) {
   cfg.is_root = true;
 
   FuzzHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
 
   // Per-block random data; random arrival times; random duplicates.
   std::vector<std::vector<TypedBuffer>> data(blocks);
@@ -168,7 +169,8 @@ TEST_P(SparseFuzz, InvariantsHoldUnderShardStorms) {
   cfg.spill_capacity_pairs = 8;
 
   FuzzHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
 
   workload::SparseSpec spec{span, density, overlap, DType::kFloat32,
                             GetParam()};

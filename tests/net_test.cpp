@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "net/network.hpp"
 
@@ -350,6 +351,71 @@ TEST(SwitchReduce, ReplayOnlyWhenRecoveryArmed) {
     }
     EXPECT_EQ(sw->engine_stats(1)->duplicates_dropped, recovery ? 0u : 1u)
         << "recovery=" << recovery;
+  }
+}
+
+// A switch crash or a recovery uninstall can land on the very picosecond at
+// which the aggregation server hands a packet to the engine: scheduled after
+// the server's hand-off event, the fault runs between the engine's dispatch
+// event and its zero-cost on_ready event.  The engine's queued events must
+// expire with the role: nothing is emitted for it, and nothing touches the
+// destroyed engine (a heap-use-after-free under -DFLARE_SANITIZE=ON).  With
+// one child the lone packet completes the block, so a surviving on_ready
+// would also trip Switch::emit's "emit for an uninstalled allreduce".
+TEST(SwitchReduce, EngineEventsExpireWithTheRole) {
+  struct Policy {
+    core::AggPolicy policy;
+    u32 buffers;
+  };
+  for (const Policy p : {Policy{core::AggPolicy::kSingleBuffer, 1},
+                         Policy{core::AggPolicy::kMultiBuffer, 2},
+                         Policy{core::AggPolicy::kTree, 1}}) {
+    for (const bool crash : {true, false}) {
+      for (const u32 children : {1u, 2u}) {
+        SCOPED_TRACE(std::string(core::policy_name(p.policy)) +
+                     (crash ? " fail()" : " uninstall_reduce()") + " P=" +
+                     std::to_string(children));
+        Network net;
+        auto topo = build_single_switch(net, 2);
+        Switch* sw = topo.leaves[0];
+        ReduceRole role;
+        role.is_root = true;
+        role.service_bps = 100e9;
+        for (u32 h = 0; h < children; ++h) role.child_ports.push_back(h);
+        core::AllreduceConfig cfg = reduce_cfg(1, children);
+        cfg.policy = p.policy;
+        cfg.num_buffers = p.buffers;
+        ASSERT_TRUE(sw->install_reduce(cfg, std::move(role)));
+        u32 results = 0;
+        for (u32 h = 0; h < 2; ++h) {
+          topo.hosts[h]->set_reduce_handler(
+              1, [&results](const core::Packet&) { results += 1; });
+        }
+
+        std::vector<i32> data(8, 1);
+        core::Packet pkt = core::make_dense_packet(1, 0, 0, data.data(), 8,
+                                                   core::DType::kInt32);
+        NetPacket np;
+        np.kind = PacketKind::kReduceUp;
+        np.allreduce_id = 1;
+        np.wire_bytes = pkt.wire_bytes();
+        np.reduce = std::make_shared<const core::Packet>(std::move(pkt));
+        topo.hosts[0]->send(std::move(np));
+        while (sw->reduce_packets_processed() == 0) {
+          ASSERT_TRUE(net.sim().step());
+        }
+        net.sim().schedule_at(sw->role(1)->server_busy_until, [&] {
+          if (crash) {
+            sw->fail();
+          } else {
+            sw->uninstall_reduce(1);
+          }
+        });
+        net.sim().run();
+        EXPECT_EQ(sw->role(1), nullptr);
+        EXPECT_EQ(results, 0u);
+      }
+    }
   }
 }
 

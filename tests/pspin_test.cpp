@@ -4,6 +4,9 @@
 // run_single_switch across policies, dtypes, dense and sparse.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "pspin/experiment.hpp"
 #include "pspin/unit.hpp"
 
@@ -295,6 +298,85 @@ TEST(Experiment, SparseArrayMemoryExceedsHash) {
   const auto hash = run_single_switch(opt);
   ASSERT_TRUE(arr.correct && hash.correct);
   EXPECT_GT(arr.block_mem_mean_bytes, hash.block_mem_mean_bytes);
+}
+
+// Every policy's cycle timing, pinned: any drift in when an engine charges,
+// waits, merges or emits moves a makespan, a mean spin time or (fp32, whose
+// sum depends on the combine order) a checksum.  The literals are the
+// simulator's own output on this small seeded unit (8 hosts, fp32, 64 KiB).
+TEST(Experiment, PolicyTimingsPinned) {
+  struct Pin {
+    const char* name;
+    u64 makespan_cycles;
+    f64 cs_wait_mean_cycles;
+    u64 result_checksum;
+    u64 emitted_wire_bytes;
+    u64 blocks_completed;
+  };
+  const auto dense = [](core::AggPolicy policy, u32 buffers,
+                        core::SendOrder order) {
+    SingleSwitchOptions opt = small_exp(policy);
+    opt.hosts = 8;
+    opt.dtype = core::DType::kFloat32;
+    opt.num_buffers = buffers;
+    opt.order = order;
+    return opt;
+  };
+  const auto sparse = [&](bool hash_storage) {
+    SingleSwitchOptions opt =
+        dense(core::AggPolicy::kSingleBuffer, 1, core::SendOrder::kStaggered);
+    opt.sparse = true;
+    opt.density = 0.10;
+    opt.index_overlap = 0.5;
+    opt.hash_storage = hash_storage;
+    return opt;
+  };
+  using core::AggPolicy;
+  constexpr auto kAligned = core::SendOrder::kAligned;
+  constexpr auto kStaggered = core::SendOrder::kStaggered;
+  SingleSwitchOptions remote = dense(AggPolicy::kSingleBuffer, 1, kStaggered);
+  remote.unit.scheduler = SchedulerKind::kGlobalFcfs;  // remote_l1 buffers
+  const std::vector<std::pair<SingleSwitchOptions, Pin>> cases = {
+      {dense(AggPolicy::kSingleBuffer, 1, kAligned),
+       {"single aligned", 45325, 371.20117187499994, 0xbdd0b0affc9bff94ull,
+        69632, 64}},
+      {dense(AggPolicy::kSingleBuffer, 1, kStaggered),
+       {"single staggered", 12563, 203.04101562499972, 0xc0d37494c19d245aull,
+        69632, 64}},
+      {dense(AggPolicy::kMultiBuffer, 2, kAligned),
+       {"multi2 aligned", 47100, 28.501953125000007, 0x63935aaf14340025ull,
+        69632, 64}},
+      {dense(AggPolicy::kMultiBuffer, 2, kStaggered),
+       {"multi2 staggered", 13309, 2.3847656250000004, 0xd6293e85095dbcfcull,
+        69632, 64}},
+      {dense(AggPolicy::kMultiBuffer, 4, kAligned),
+       {"multi4 aligned", 49505, 0.0, 0xe722146a1f0b3dddull, 69632, 64}},
+      {dense(AggPolicy::kMultiBuffer, 4, kStaggered),
+       {"multi4 staggered", 16026, 0.0, 0xd5ec229401f9cd98ull, 69632, 64}},
+      {dense(AggPolicy::kTree, 1, kAligned),
+       {"tree aligned", 13795, 0.0, 0x0164ddf1be84d850ull, 69632, 64}},
+      {dense(AggPolicy::kTree, 1, kStaggered),
+       {"tree staggered", 14854, 0.0, 0x0164ddf1be84d850ull, 69632, 64}},
+      {remote,
+       {"single remote_l1", 257690, 6209.5742187500018,
+        0xc0d37494c19d245aull, 69632, 64}},
+      {sparse(true),
+       {"sparse hash", 20819, 3786.0794701986752, 0x09593d678862c755ull,
+        57384, 13}},
+      {sparse(false),
+       {"sparse array", 16984, 2720.9801324503301, 0x468b084e1d08b85cull,
+        54472, 13}},
+  };
+  for (const auto& [opt, pin] : cases) {
+    SCOPED_TRACE(pin.name);
+    const SingleSwitchResult res = run_single_switch(opt);
+    EXPECT_TRUE(res.correct);
+    EXPECT_EQ(res.makespan_cycles, pin.makespan_cycles);
+    EXPECT_DOUBLE_EQ(res.cs_wait_mean_cycles, pin.cs_wait_mean_cycles);
+    EXPECT_EQ(res.result_checksum, pin.result_checksum);
+    EXPECT_EQ(res.emitted_wire_bytes, pin.emitted_wire_bytes);
+    EXPECT_EQ(res.blocks_completed, pin.blocks_completed);
+  }
 }
 
 TEST(Experiment, HierarchicalSchedulingBeatsGlobal) {

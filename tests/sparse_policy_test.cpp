@@ -138,7 +138,8 @@ TEST_P(SparseSweep, AggregatesCorrectly) {
   AllreduceConfig cfg =
       sparse_config(prm.children, span, prm.hash, 512, 64, 128, prm.buffers);
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   Rng rng(7);
   for (u32 h = 0; h < prm.children; ++h) {
     send_block(host, engine, cfg, 0, h,
@@ -180,7 +181,8 @@ TEST(SparsePolicy, BlockSplitAcrossManyShards) {
   const u32 span = 4096;
   AllreduceConfig cfg = sparse_config(1, span, false, 512, 64, 32);
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   std::vector<SparsePair> pairs;
   for (u32 i = 0; i < 300; ++i)
     pairs.push_back({i * 13 % span, 1.0});
@@ -199,7 +201,8 @@ TEST(SparsePolicy, EmptyBlocksStillComplete) {
   const u32 span = 128;
   AllreduceConfig cfg = sparse_config(3, span, true);
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   send_block(host, engine, cfg, 0, 0, {}, 0);
   send_block(host, engine, cfg, 0, 1, {{5, 2.0}}, 10);
   send_block(host, engine, cfg, 0, 2, {}, 20);
@@ -214,7 +217,8 @@ TEST(SparsePolicy, AllEmptyBlockEmitsCompletionMarker) {
   const u32 span = 128;
   AllreduceConfig cfg = sparse_config(2, span, true);
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   send_block(host, engine, cfg, 0, 0, {}, 0);
   send_block(host, engine, cfg, 0, 1, {}, 10);
   host.sim.run();
@@ -231,7 +235,8 @@ TEST(SparsePolicy, TinyHashForcesSpillTraffic) {
                                       /*spill_cap=*/8, /*ppp=*/64);
   workload::SparseSpec spec{span, 0.10, 0.0, DType::kFloat32, 17};
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   for (u32 h = 0; h < 4; ++h) {
     send_block(host, engine, cfg, 0, h,
                workload::sparse_block_pairs(spec, h, 0), 100 * h);
@@ -248,7 +253,8 @@ TEST(SparsePolicy, ArrayStoreNeverSpills) {
   AllreduceConfig cfg = sparse_config(4, span, false, 16, 8, 64);
   workload::SparseSpec spec{span, 0.10, 0.0, DType::kFloat32, 18};
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   for (u32 h = 0; h < 4; ++h) {
     send_block(host, engine, cfg, 0, h,
                workload::sparse_block_pairs(spec, h, 0), 100 * h);
@@ -263,7 +269,8 @@ TEST(SparsePolicy, RetransmittedShardIsDeduplicated) {
   const u32 span = 256;
   AllreduceConfig cfg = sparse_config(2, span, false, 512, 64, 4);
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   std::vector<SparsePair> pairs = {{1, 1.0}, {2, 2.0}, {3, 3.0},
                                    {4, 4.0}, {5, 5.0}};  // 2 shards @ ppp=4
   send_block(host, engine, cfg, 0, 0, pairs, 0);
@@ -290,7 +297,8 @@ TEST(SparsePolicy, ResultRespectsPairsPerPacketMtu) {
   const u32 span = 512;
   AllreduceConfig cfg = sparse_config(2, span, false, 512, 64, /*ppp=*/32);
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   std::vector<SparsePair> a, b;
   for (u32 i = 0; i < 100; ++i) a.push_back({i, 1.0});
   for (u32 i = 50; i < 150; ++i) b.push_back({i, 1.0});
@@ -318,7 +326,8 @@ TEST(SparsePolicy, NonRootEmitsUpwardWithoutDownFlag) {
   AllreduceConfig cfg = sparse_config(2, span, true);
   cfg.is_root = false;
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   send_block(host, engine, cfg, 0, 0, {{1, 1.0}}, 0);
   send_block(host, engine, cfg, 0, 1, {{2, 2.0}}, 10);
   host.sim.run();
@@ -330,7 +339,8 @@ TEST(SparsePolicy, InterleavedBlocksIndependent) {
   const u32 span = 256;
   AllreduceConfig cfg = sparse_config(2, span, true);
   TestHost host;
-  AllreduceEngine engine(host, cfg);
+  const auto owned = make_engine(host, cfg);
+  AllreduceEngine& engine = *owned;
   send_block(host, engine, cfg, 0, 0, {{1, 1.0}}, 0);
   send_block(host, engine, cfg, 1, 0, {{1, 100.0}}, 5);
   send_block(host, engine, cfg, 1, 1, {{2, 200.0}}, 10);
