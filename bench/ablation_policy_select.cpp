@@ -75,9 +75,5 @@ int main() {
     report.add("selected_" + bench::fmt_size(z), selected_name(z));
   }
   report.emit();
-  if (!all_correct) {
-    std::printf("  a result check FAILED -> FAIL\n");
-    return 1;
-  }
-  return 0;
+  return bench::exit_status(all_correct);
 }

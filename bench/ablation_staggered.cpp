@@ -75,9 +75,5 @@ int main() {
                rh.goodput_bps / rg.goodput_bps);
   }
   report.emit();
-  if (!all_correct) {
-    std::printf("  a result check FAILED -> FAIL\n");
-    return 1;
-  }
-  return 0;
+  return bench::exit_status(all_correct);
 }

@@ -44,6 +44,14 @@ inline void print_title(const char* id, const char* what) {
 
 inline void print_note(const char* note) { std::printf("  %s\n", note); }
 
+/// Exit code of a bench that verifies its results: prints the failure line
+/// and returns 1 when any result check failed, 0 otherwise.
+inline int exit_status(bool all_correct) {
+  if (all_correct) return 0;
+  std::printf("  a result check FAILED -> FAIL\n");
+  return 1;
+}
+
 inline std::string fmt_tbps(f64 bps) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%6.2f", bps / 1e12);

@@ -76,9 +76,5 @@ int main() {
   std::printf("  -> staggered sending raises delta_c: no critical-section "
               "spin, smaller queues.\n");
   report.emit();
-  if (!all_correct) {
-    std::printf("  a result check FAILED -> FAIL\n");
-    return 1;
-  }
-  return 0;
+  return bench::exit_status(all_correct);
 }

@@ -127,9 +127,5 @@ int main(int argc, char** argv) {
               "SHARP); narrower integers raise\n  Flare's element rate via "
               "SIMD while SwitchML is flat and float-less.\n");
   report.emit();
-  if (!all_correct) {
-    std::printf("  a result check FAILED -> FAIL\n");
-    return 1;
-  }
-  return 0;
+  return bench::exit_status(all_correct);
 }

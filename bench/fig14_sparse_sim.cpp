@@ -81,9 +81,5 @@ int main(int argc, char** argv) {
               "never spills, with memory growing as 1/density (prohibitive "
               "at 1%%).\n");
   report.emit();
-  if (!all_correct) {
-    std::printf("  a result check FAILED -> FAIL\n");
-    return 1;
-  }
-  return 0;
+  return bench::exit_status(all_correct);
 }

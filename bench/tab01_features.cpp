@@ -116,9 +116,5 @@ int main() {
     all_correct = all_correct && reproducible;
   }
   report.emit();
-  if (!all_correct) {
-    std::printf("  a result check FAILED -> FAIL\n");
-    return 1;
-  }
-  return 0;
+  return bench::exit_status(all_correct);
 }

@@ -16,11 +16,13 @@
 // hold one engine per installed allreduce id, built by make_engine.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_set>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/stats.hpp"
@@ -95,20 +97,21 @@ struct EngineStats {
 /// resumes at the release time still holding it.
 class SlotQueue {
  public:
-  /// Sets the slot count (at most 64); every slot starts idle.
+  /// Sets the slot count; every slot starts idle.
   void reset(u32 slots) {
-    FLARE_ASSERT(slots >= 1 && slots <= 64);
+    FLARE_ASSERT(slots >= 1);
     n_ = slots;
-    busy_ = 0;
+    low_ = 0;
+    high_.assign(slots > 64 ? slots - 64 : 0, false);
   }
 
   /// Runs `fn(now, slot)` on the lowest idle slot, or queues it to run
   /// `fn(release time, slot)` when a holder releases one.
   template <typename F>
   void acquire(SimTime now, F&& fn) {
-    const u32 s = static_cast<u32>(std::countr_one(busy_));
+    const u32 s = lowest_idle();
     if (s < n_) {
-      busy_ |= 1ull << s;
+      mark(s, true);
       fn(now, s);
     } else {
       waiters_.emplace_back(std::forward<F>(fn));
@@ -119,7 +122,7 @@ class SlotQueue {
   /// a hand-over (the slot stays busy).
   bool release(u32 slot, SimTime at) {
     if (waiters_.empty()) {
-      busy_ &= ~(1ull << slot);
+      mark(slot, false);
       return false;
     }
     auto fn = std::move(waiters_.front());
@@ -128,11 +131,31 @@ class SlotQueue {
     return true;
   }
 
-  bool busy(u32 slot) const { return (busy_ >> slot) & 1u; }
+  bool busy(u32 slot) const {
+    return slot < 64 ? ((low_ >> slot) & 1u) != 0 : high_[slot - 64];
+  }
 
  private:
+  // Slots 0-63 live in one word, so the usual B <= 64 never allocates.
+  u32 lowest_idle() const {
+    const u32 s = static_cast<u32>(std::countr_one(low_));
+    if (s < 64) return s;
+    return 64 + static_cast<u32>(std::find(high_.begin(), high_.end(), false) -
+                                 high_.begin());
+  }
+  void mark(u32 slot, bool b) {
+    if (slot >= 64) {
+      high_[slot - 64] = b;
+    } else if (b) {
+      low_ |= 1ull << slot;
+    } else {
+      low_ &= ~(1ull << slot);
+    }
+  }
+
   u32 n_ = 1;
-  u64 busy_ = 0;
+  u64 low_ = 0;
+  std::vector<bool> high_;
   std::deque<std::function<void(SimTime, u32)>> waiters_;
 };
 

@@ -360,6 +360,27 @@ TEST(MultiBufferPolicy, ThirdConcurrentPacketWaitsWithTwoBuffers) {
   EXPECT_GT(rr.stats.cs_wait_cycles.max(), 0.0);
 }
 
+TEST(MultiBufferPolicy, MoreBuffersThanAMachineWord) {
+  // B is not capped at 64: 70 concurrent packets on 70 buffers never wait.
+  const u32 P = 70;
+  Rng rng(7);
+  std::vector<TypedBuffer> data;
+  for (u32 h = 0; h < P; ++h) {
+    TypedBuffer b(DType::kInt32, 64);
+    b.fill_random(rng, 1.0, 4.0);
+    data.push_back(std::move(b));
+  }
+  AllreduceConfig cfg = base_config(P, AggPolicy::kMultiBuffer, P,
+                                    DType::kInt32, OpKind::kSum, 64);
+  RunResult rr = run_one_block(cfg, data, std::vector<SimTime>(P, 0));
+  EXPECT_EQ(rr.stats.cs_wait_cycles.max(), 0.0);
+  TypedBuffer got(DType::kInt32, 64);
+  std::memcpy(got.data(), rr.result.payload.data(), rr.result.payload.size());
+  EXPECT_EQ(got.count_mismatches(reference_reduce(data, ReduceOp(OpKind::kSum))),
+            0u);
+  EXPECT_EQ(rr.pool_in_use_after, 0u);
+}
+
 TEST(TreePolicy, HandlersNeverWait) {
   // Section 6.3: computation proceeds only when data is available in both
   // buffers, so no handler blocks regardless of delta_c.
